@@ -34,9 +34,11 @@ int main() {
       mcfg.threads = static_cast<uint32_t>(threads);
       mcfg.commit_dependencies = spec;
       MVOccEngine engine(YcsbCatalog(cfg), mcfg);
-      (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-        return engine.Load(t, k, p);
-      });
+      CheckOk(YcsbLoad(cfg,
+                       [&](TableId t, Key k, const void* p) {
+                         return engine.Load(t, k, p);
+                       }),
+              "YcsbLoad");
       BenchResult r = RunExecutorBench(
           engine,
           YcsbSource(cfg,

@@ -29,10 +29,12 @@ int main() {
     bcfg.gc_enabled = gc;
 
     BohmEngine engine(YcsbCatalog(cfg), bcfg);
-    (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-      return engine.Load(t, k, p);
-    });
-    (void)engine.Start();
+    CheckOk(YcsbLoad(cfg,
+                     [&](TableId t, Key k, const void* p) {
+                       return engine.Load(t, k, p);
+                     }),
+            "YcsbLoad");
+    CheckOk(engine.Start(), "BohmEngine::Start");
     BenchResult r = RunBohmBench(engine, YcsbSource(cfg, fn), 2, opt);
     uint64_t freed = engine.gc_freed_versions();
     engine.Stop();

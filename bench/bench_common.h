@@ -5,6 +5,8 @@
 // also bounds memory).
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,6 +21,14 @@
 
 namespace bohm {
 namespace bench {
+
+/// Exits the bench with status 1, printing `st`, when a load or start
+/// failed: carrying on would report a garbage data point.
+inline void CheckOk(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
 
 /// Produces one transaction from a per-thread YCSB generator.
 using YcsbTxnFn = std::function<ProcedurePtr(YcsbGenerator&)>;
@@ -42,9 +52,11 @@ inline BenchResult YcsbExecutorPoint(EngineKind kind, const YcsbConfig& cfg,
                                      uint32_t threads, const YcsbTxnFn& fn,
                                      const DriverOptions& opt) {
   auto engine = MakeExecutorEngine(kind, YcsbCatalog(cfg), threads);
-  (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine->Load(t, k, p);
-  });
+  CheckOk(YcsbLoad(cfg,
+                   [&](TableId t, Key k, const void* p) {
+                     return engine->Load(t, k, p);
+                   }),
+          "YcsbLoad");
   return RunExecutorBench(*engine, YcsbSource(cfg, fn), opt);
 }
 
@@ -57,10 +69,12 @@ inline BenchResult YcsbBohmPoint(const YcsbConfig& cfg,
   BohmConfig bcfg =
       override_cfg != nullptr ? *override_cfg : BohmSplit(total_threads);
   BohmEngine engine(YcsbCatalog(cfg), bcfg);
-  (void)YcsbLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
+  CheckOk(YcsbLoad(cfg,
+                   [&](TableId t, Key k, const void* p) {
+                     return engine.Load(t, k, p);
+                   }),
+          "YcsbLoad");
+  CheckOk(engine.Start(), "BohmEngine::Start");
   BenchResult r = RunBohmBench(engine, YcsbSource(cfg, fn),
                                /*client_threads=*/2, opt);
   engine.Stop();
@@ -72,9 +86,11 @@ inline BenchResult SmallBankExecutorPoint(EngineKind kind,
                                           uint32_t threads,
                                           const DriverOptions& opt) {
   auto engine = MakeExecutorEngine(kind, SmallBankCatalog(cfg), threads);
-  (void)SmallBankLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine->Load(t, k, p);
-  });
+  CheckOk(SmallBankLoad(cfg,
+                        [&](TableId t, Key k, const void* p) {
+                          return engine->Load(t, k, p);
+                        }),
+          "SmallBankLoad");
   return RunExecutorBench(*engine, SmallBankSource(cfg), opt);
 }
 
@@ -82,10 +98,12 @@ inline BenchResult SmallBankBohmPoint(const SmallBankConfig& cfg,
                                       uint32_t total_threads,
                                       const DriverOptions& opt) {
   BohmEngine engine(SmallBankCatalog(cfg), BohmSplit(total_threads));
-  (void)SmallBankLoad(cfg, [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
+  CheckOk(SmallBankLoad(cfg,
+                        [&](TableId t, Key k, const void* p) {
+                          return engine.Load(t, k, p);
+                        }),
+          "SmallBankLoad");
+  CheckOk(engine.Start(), "BohmEngine::Start");
   BenchResult r =
       RunBohmBench(engine, SmallBankSource(cfg), /*client_threads=*/2, opt);
   engine.Stop();

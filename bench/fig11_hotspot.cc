@@ -30,9 +30,11 @@ TxnSourceMaker HotspotSource(const HotspotConfig& cfg) {
 BenchResult HotspotExecutorPoint(EngineKind kind, const HotspotConfig& cfg,
                                  uint32_t threads, const DriverOptions& opt) {
   auto engine = MakeExecutorEngine(kind, YcsbCatalog(cfg.Ycsb()), threads);
-  (void)YcsbLoad(cfg.Ycsb(), [&](TableId t, Key k, const void* p) {
-    return engine->Load(t, k, p);
-  });
+  CheckOk(YcsbLoad(cfg.Ycsb(),
+                   [&](TableId t, Key k, const void* p) {
+                     return engine->Load(t, k, p);
+                   }),
+          "YcsbLoad");
   return RunExecutorBench(*engine, HotspotSource(cfg), opt);
 }
 
@@ -45,10 +47,12 @@ BenchResult HotspotBohmPoint(const HotspotConfig& cfg, uint32_t threads,
   bcfg.adaptive.interval_batches =
       static_cast<uint32_t>(EnvInt64("BOHM_BENCH_CC_INTERVAL", 8));
   BohmEngine engine(YcsbCatalog(cfg.Ycsb()), bcfg);
-  (void)YcsbLoad(cfg.Ycsb(), [&](TableId t, Key k, const void* p) {
-    return engine.Load(t, k, p);
-  });
-  (void)engine.Start();
+  CheckOk(YcsbLoad(cfg.Ycsb(),
+                   [&](TableId t, Key k, const void* p) {
+                     return engine.Load(t, k, p);
+                   }),
+          "YcsbLoad");
+  CheckOk(engine.Start(), "BohmEngine::Start");
   // Generating an 8-RMW hotspot transaction is not free; two feeders can
   // become the bottleneck before the CC stage does at higher thread
   // counts, which would mask the effect this bench measures.

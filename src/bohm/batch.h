@@ -12,12 +12,21 @@
 // min(cc_watermark) >= b — CC threads stream straight into batch b+1
 // while execution is still inside b (Section 3.3.1).
 //
-// The ring has a fixed number of slots. A slot for batch b is reused for
-// batch b + depth only once every execution thread has finished b, which
-// the sequencer checks against the execution low-watermark — the same
+// At most `depth` batches are in flight: batch b is sealed only once
+// every execution thread has finished batch b - depth, which the
+// sequencer checks against the execution low-watermark — the same
 // watermark that drives garbage collection (Section 3.3.2). Because the
-// execution watermark can never pass the CC watermark, slot reuse also
-// implies every CC thread has left the batch.
+// execution watermark can never pass the CC watermark, this also implies
+// every CC thread has left batch b - depth.
+//
+// The ring nevertheless holds 2 * depth slots, so batch p's slot is
+// reused for batch p + 2 * depth. The slack covers dependency chasing:
+// an execution thread in batch c follows a version's producer pointer
+// into batch p only after seeing that version not ready, and p was still
+// incomplete when c was sealed, so c <= p + depth. The producer may
+// complete and batch p drain right after that check; reusing p's slot
+// then waits for every execution thread to finish p + depth >= c, which
+// orders the stale pointer's last use before the slot is overwritten.
 //
 // The Batch struct itself carries no publication state: the feed-ring
 // push is the sequencer's release publication of the filled slot, and the
@@ -60,23 +69,26 @@ struct Batch {
   }
 };
 
-/// Fixed-depth pipeline of batch slots.
+/// Ring of 2 * depth batch slots for a pipeline of `depth` batches in
+/// flight (see the header comment for why the slack is needed).
 class BatchRing {
  public:
-  explicit BatchRing(uint32_t depth) {
-    slots_.reserve(depth);
-    for (uint32_t i = 0; i < depth; ++i) {
+  explicit BatchRing(uint32_t depth) : depth_(depth) {
+    slots_.reserve(2 * depth);
+    for (uint32_t i = 0; i < 2 * depth; ++i) {
       slots_.push_back(std::make_unique<Batch>());
     }
   }
   BOHM_DISALLOW_COPY_AND_ASSIGN(BatchRing);
 
-  uint32_t depth() const { return static_cast<uint32_t>(slots_.size()); }
+  /// Most batches in flight at once.
+  uint32_t depth() const { return depth_; }
   Batch* Slot(int64_t batch_id) {
     return slots_[static_cast<uint64_t>(batch_id) % slots_.size()].get();
   }
 
  private:
+  const uint32_t depth_;
   std::vector<std::unique_ptr<Batch>> slots_;
 };
 

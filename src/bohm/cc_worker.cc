@@ -55,12 +55,11 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
     // fully passed (Condition 3, Section 3.3.2). Amortized once per batch.
     if (cfg_.gc_enabled) DrainRetired(cc_id);
 
-    // Interest skipping needs a defined shift: cc_id >= 64 only happens
-    // with preprocessing disabled (Start() validates), where every txn
-    // carries the all-ones mask anyway.
-    const uint64_t my_bit = cc_id < 64 ? 1ull << cc_id : 0;
+    // Skip transactions the sequencer's pre-processing found no work in
+    // for this thread (Start() caps cc_threads at 64, the mask width).
+    const uint64_t my_bit = 1ull << cc_id;
     for (BohmTxn* txn : batch->txns) {
-      if (my_bit != 0 && (txn->cc_interest & my_bit) == 0) continue;
+      if ((txn->cc_interest & my_bit) == 0) continue;
       CcProcessTxn(cc_id, txn, b);
     }
 
@@ -92,23 +91,19 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   // pre-update value). Because CC threads process transactions in
   // timestamp order, the current head of a record in this partition *is*
   // the correct version for this transaction to read (Section 3.2.3).
-  if (cfg_.read_annotation) {
-    for (uint32_t i = 0; i < txn->n_reads; ++i) {
-      ReadRef& r = txn->reads[i];
-      BohmTable* table = db_.table(r.rec.table);
-      const uint32_t part = table->PartitionOf(r.rec.key);
-      if (owners[part] != cc_id) continue;
-      if (touch != nullptr) touch[part].Inc();
-      BohmIndexEntry* entry = table->Find(part, r.rec.key);
-      // relaxed: this CC thread is the current single writer of heads in
-      // the partitions it owns (ownership handoff itself rides the
-      // watermark/feed release-acquire edges, rule R7), so it reads back
-      // the latest store; cross-thread visibility of the annotation
-      // itself rides the cc_watermark_ release/acquire edge (rule R5).
-      r.version =
-          entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
-      r.resolved = true;
-    }
+  for (uint32_t i = 0; i < txn->n_reads; ++i) {
+    ReadRef& r = txn->reads[i];
+    BohmTable* table = db_.table(r.rec.table);
+    const uint32_t part = table->PartitionOf(r.rec.key);
+    if (owners[part] != cc_id) continue;
+    if (touch != nullptr) touch[part].Inc();
+    BohmIndexEntry* entry = table->Find(part, r.rec.key);
+    // relaxed: this CC thread is the current single writer of heads in
+    // the partitions it owns (ownership handoff itself rides the
+    // watermark/feed release-acquire edges, rule R7), so it reads back
+    // the latest store; cross-thread visibility of the annotation itself
+    // rides the cc_watermark_ release/acquire edge (rule R5).
+    r.version = entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
   }
 
   // Writes: insert an uninitialized placeholder version per element

@@ -86,10 +86,6 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     opts.policy = cfg_.durability.fsync_policy;
     opts.group_size =
         cfg_.durability.group_size == 0 ? 1 : cfg_.durability.group_size;
-    opts.interval_us = cfg_.durability.interval_us;
-    opts.queue_capacity = NextPow2(cfg_.durability.writer_queue_capacity < 2
-                                       ? 2
-                                       : cfg_.durability.writer_queue_capacity);
     log_writer_ = std::make_unique<LogWriter>(log_.get(), opts);
   }
 }
@@ -130,12 +126,10 @@ Status BohmEngine::Start() {
   // (owner bits, not partition bits — partition counts above 64 are fine
   // because the sequencer masks by owners[PartitionOf(key)]). A config
   // that would shift past the mask width is rejected instead of silently
-  // computing undefined behavior; run cc_threads > 64 with
-  // interest_preprocessing explicitly disabled.
-  if (cfg_.interest_preprocessing && cfg_.cc_threads > 64) {
+  // computing undefined behavior.
+  if (cfg_.cc_threads > 64) {
     return Status::InvalidArgument(
-        "interest_preprocessing requires cc_threads <= 64 (the cc_interest "
-        "mask is 64 bits wide); disable it to run more CC threads");
+        "cc_threads must be <= 64 (the cc_interest mask is 64 bits wide)");
   }
   if (cfg_.adaptive.enabled && db_.partitions() < cfg_.cc_threads) {
     return Status::InvalidArgument(

@@ -61,19 +61,15 @@ namespace bohm {
 /// sequenced order, persisting each sealed batch (seqno + encoded
 /// transactions) is a complete redo log — no ARIES, no per-write logging.
 struct DurabilityConfig {
+  /// When on, execution of a batch waits until the batch is durable per
+  /// the fsync policy, so a commit acknowledgement implies the transaction
+  /// survives a crash ("no acked commit is ever lost").
   bool enabled = false;
   /// Directory for segment files (created if missing).
   std::string dir;
   FsyncPolicy fsync_policy = FsyncPolicy::kGroup;
-  uint32_t group_size = 8;     // kGroup: records per fsync
-  uint64_t interval_us = 1000; // kInterval: max time between fsyncs
+  uint32_t group_size = 8;  // kGroup: records per fsync
   uint64_t segment_bytes = 64ull << 20;
-  /// When true (the default), execution of a batch waits until the batch
-  /// is durable per the fsync policy, so a commit acknowledgement implies
-  /// the transaction survives a crash ("no acked commit is ever lost").
-  /// When false, logging is asynchronous book-keeping only.
-  bool durable_ack = true;
-  size_t writer_queue_capacity = 256;  // sequencer->writer ring (pow2)
   /// File-system indirection; nullptr means the real one. Tests inject
   /// FaultLogEnv here.
   LogEnv* env = nullptr;
@@ -93,7 +89,10 @@ struct RecoveryStats {
 struct BohmConfig {
   /// m: concurrency-control threads (each owns the physical hash
   /// partitions the partition map assigns to it; exactly one per thread
-  /// unless `adaptive` is enabled).
+  /// unless `adaptive` is enabled). At most 64: the sequencer's
+  /// pre-processing (Section 3.2.2) marks each transaction with a 64-bit
+  /// mask of the CC threads it has work for, and Start() rejects wider
+  /// configs (InvalidArgument) rather than compute an undefined shift.
   uint32_t cc_threads = 2;
   /// n: transaction-execution threads.
   uint32_t exec_threads = 2;
@@ -107,9 +106,6 @@ struct BohmConfig {
   /// Enable Condition-3 garbage collection of superseded versions
   /// (Section 3.3.2).
   bool gc_enabled = true;
-  /// Enable the read-set annotation optimization (Section 3.2.3). When
-  /// off, execution threads locate read versions by chain traversal.
-  bool read_annotation = true;
   /// Pin engine threads to CPUs (auto-disabled when threads > CPUs).
   bool pin_threads = true;
   /// Capacity of the client->sequencer queue (rounded up to a power of 2).
@@ -118,15 +114,6 @@ struct BohmConfig {
   /// and are retried by the responsible thread (keeps stacks bounded under
   /// adversarial hot-key RMW chains).
   uint32_t max_dependency_depth = 64;
-  /// Pre-processing (Section 3.2.2's answer to the Amdahl's-law concern):
-  /// the sequencer annotates each transaction with the set of CC threads
-  /// it has work for (computed against the batch's partition map), so CC
-  /// threads skip foreign transactions without scanning their read/write
-  /// sets. The mask is 64 bits wide, so this requires cc_threads <= 64;
-  /// Start() rejects (InvalidArgument) configs that violate it instead of
-  /// silently computing an undefined shift. Disable it explicitly to run
-  /// with more than 64 CC threads.
-  bool interest_preprocessing = true;
   /// Adaptive CC repartitioning (src/bohm/repartition.h): decouple the
   /// physical index partition from the owning CC thread and migrate hot
   /// partitions between threads at batch boundaries. Off by default; when
@@ -318,7 +305,6 @@ class BohmEngine {
   void ExecLoop(uint32_t exec_id);
   bool TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
   bool EnsureReady(uint32_t exec_id, Version* v, uint32_t depth);
-  Version* ResolveRead(ReadRef& ref, uint64_t ts) const;
   bool FillAbortedWrites(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
 
   // --- garbage collection (gc.cc) ---

@@ -1,8 +1,8 @@
 // The transaction-execution stage (Section 3.3.1).
 //
 // Execution threads receive batches whose concurrency control is already
-// complete: every write has a placeholder version and every read is (or
-// can be) resolved to the exact version to observe. Transactions are
+// complete: every write has a placeholder version and every read is
+// annotated with the exact version to observe. Transactions are
 // striped across execution threads (thread i is *responsible* for
 // transactions i, i+n, ...), but any thread may execute any transaction by
 // winning the Unprocessed -> Executing claim — which is how unsatisfied
@@ -103,8 +103,7 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // by a writer failure: the engine then degrades to non-durable
     // execution of in-flight work while Submit rejects anything new,
     // rather than wedging shutdown on a watermark that will never move.
-    if (log_writer_ != nullptr && cfg_.durability.durable_ack &&
-        !replaying_.load(std::memory_order_acquire)) {
+    if (log_writer_ != nullptr && !replaying_.load(std::memory_order_acquire)) {
       const uint64_t need = log_base_ + static_cast<uint64_t>(b);
       if (log_writer_->durable_seqno() < need && !log_writer_->failed()) {
         const uint64_t stall_start = MonotonicNanos();
@@ -145,21 +144,6 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     }
     exec_watermark_.Advance(exec_id, b);
   }
-}
-
-Version* BohmEngine::ResolveRead(ReadRef& ref, uint64_t ts) const {
-  // Chain traversal (the non-annotated path of Section 3.2.3): walk the
-  // version list from the newest version until one created strictly before
-  // this transaction is found. The strict inequality also skips the
-  // transaction's own placeholder on an RMW, giving read-before-write
-  // semantics.
-  const BohmTable* table = db_.table(ref.rec.table);
-  BohmIndexEntry* entry =
-      table->Find(table->PartitionOf(ref.rec.key), ref.rec.key);
-  if (entry == nullptr) return nullptr;
-  Version* v = entry->head.load(std::memory_order_acquire);
-  while (v != nullptr && v->begin_ts >= ts) v = v->prev;
-  return v;
 }
 
 bool BohmEngine::EnsureReady(uint32_t exec_id, Version* v, uint32_t depth) {
@@ -214,11 +198,7 @@ bool BohmEngine::TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth) {
   // the transaction back to Unprocessed; a responsible thread will retry
   // (Section 3.3.1).
   for (uint32_t i = 0; i < txn->n_reads; ++i) {
-    ReadRef& r = txn->reads[i];
-    if (!r.resolved) {
-      r.version = ResolveRead(r, txn->ts);
-      r.resolved = true;
-    }
+    const ReadRef& r = txn->reads[i];
     if (r.version != nullptr && !EnsureReady(exec_id, r.version, depth + 1)) {
       txn->state.store(static_cast<uint32_t>(ExecState::kUnprocessed),
                        std::memory_order_release);

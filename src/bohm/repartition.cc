@@ -5,6 +5,13 @@
 
 namespace bohm {
 
+namespace {
+
+/// Cap on partitions moved per rebalance decision.
+constexpr uint32_t kMaxMovesPerDecision = 8;
+
+}  // namespace
+
 RepartitionController::RepartitionController(uint32_t partitions,
                                              uint32_t cc_threads,
                                              const AdaptiveCcConfig& cfg)
@@ -129,8 +136,7 @@ void RepartitionController::Observe(const std::vector<uint64_t>& touch_totals) {
   }
   uint32_t moves = 0;
   std::vector<uint32_t> sources;
-  const uint32_t max_moves = cfg_.max_moves == 0 ? partitions_ : cfg_.max_moves;
-  while (moves < max_moves) {
+  while (moves < kMaxMovesPerDecision) {
     uint32_t hi = 0, lo = 0;
     for (uint32_t t = 1; t < cc_threads_; ++t) {
       if (loads[t] > loads[hi]) hi = t;

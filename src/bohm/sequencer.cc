@@ -88,17 +88,18 @@ void BohmEngine::SequencerLoop() {
   SpinWait wait;
   for (;;) {
     const int64_t id = next_batch_id_;
-    // Back-pressure: slot (id mod depth) is reusable only once every
-    // execution thread has finished the batch that used it previously
-    // (batch id - depth). This is the only place the sequencer waits on
+    // Back-pressure: batch id may enter the pipeline only once every
+    // execution thread has finished batch id - depth, which also makes
+    // the slot's previous occupant (id - 2 * depth) safe to overwrite
+    // (bohm/batch.h). This is the only place the sequencer waits on
     // downstream progress; the time spent here is the sequencer's stall
     // attribution.
     Batch* batch = ring_.Slot(id);
-    const int64_t prev_occupant = id - static_cast<int64_t>(ring_.depth());
-    if (Watermark() < prev_occupant) {
+    const int64_t must_be_done = id - static_cast<int64_t>(ring_.depth());
+    if (Watermark() < must_be_done) {
       const uint64_t stall_start = MonotonicNanos();
       wait.Reset();
-      while (Watermark() < prev_occupant) wait.Pause();
+      while (Watermark() < must_be_done) wait.Pause();
       seq_stall_.ns.Inc(MonotonicNanos() - stall_start);
     }
     batch->ResetForReuse();
@@ -112,10 +113,15 @@ void BohmEngine::SequencerLoop() {
         id % static_cast<int64_t>(cfg_.adaptive.interval_batches) == 0) {
       FoldTouchCounters();
     }
-    const PartitionMapVersion* pmap = repart_->MapForBatch(id, cc_watermark_);
-    const uint32_t* owners = pmap->owners.data();
-    batch->part_epoch = pmap->epoch;
-    batch->owners = owners;
+    const uint32_t* owners = nullptr;
+    auto stamp_map = [&] {
+      const PartitionMapVersion* pmap =
+          repart_->MapForBatch(id, cc_watermark_);
+      owners = pmap->owners.data();
+      batch->part_epoch = pmap->epoch;
+      batch->owners = owners;
+    };
+    stamp_map();
     repart_->Prune(Watermark());
 
     // Fill the batch. Seal early when the input queue runs dry so that a
@@ -136,11 +142,21 @@ void BohmEngine::SequencerLoop() {
         txn->submit_tick = item.submit_tick;
         txn->n_reads = static_cast<uint32_t>(set.reads().size());
         txn->n_writes = static_cast<uint32_t>(set.writes().size());
+        // Pre-processing (Section 3.2.2): mark which CC *threads* this
+        // transaction has work for, under this batch's partition map, so
+        // CC threads skip it wholesale. Owner ids are < cc_threads <= 64
+        // (Start() validates), so the shift is always defined — partition
+        // counts above 64 are fine.
+        auto owner_bit = [&](const RecordId& rec) {
+          return 1ull << owners[db_.table(rec.table)->PartitionOf(rec.key)];
+        };
+        uint64_t mask = 0;
         if (txn->n_reads > 0) {
           txn->reads = static_cast<ReadRef*>(batch->arena.Allocate(
               sizeof(ReadRef) * txn->n_reads, alignof(ReadRef)));
           for (uint32_t i = 0; i < txn->n_reads; ++i) {
-            txn->reads[i] = ReadRef{set.reads()[i], nullptr, false};
+            txn->reads[i] = ReadRef{set.reads()[i], nullptr};
+            mask |= owner_bit(set.reads()[i]);
           }
         }
         if (txn->n_writes > 0) {
@@ -148,28 +164,10 @@ void BohmEngine::SequencerLoop() {
               sizeof(WriteRef) * txn->n_writes, alignof(WriteRef)));
           for (uint32_t i = 0; i < txn->n_writes; ++i) {
             txn->writes[i] = WriteRef{set.writes()[i], nullptr, false};
+            mask |= owner_bit(set.writes()[i]);
           }
         }
-        if (cfg_.interest_preprocessing) {
-          // Pre-processing (Section 3.2.2): mark which CC *threads* this
-          // transaction has work for, under this batch's partition map,
-          // so CC threads skip it wholesale. Owner ids are < cc_threads
-          // <= 64 (Start() validates), so the shift is always defined —
-          // partition counts above 64 are fine.
-          uint64_t mask = 0;
-          for (uint32_t i = 0; i < txn->n_writes; ++i) {
-            const RecordId& rec = txn->writes[i].rec;
-            mask |= 1ull << owners[db_.table(rec.table)->PartitionOf(rec.key)];
-          }
-          if (cfg_.read_annotation) {
-            for (uint32_t i = 0; i < txn->n_reads; ++i) {
-              const RecordId& rec = txn->reads[i].rec;
-              mask |=
-                  1ull << owners[db_.table(rec.table)->PartitionOf(rec.key)];
-            }
-          }
-          txn->cc_interest = mask;
-        }
+        txn->cc_interest = mask;
         batch->txns.push_back(txn);
         continue;
       }
@@ -179,6 +177,13 @@ void BohmEngine::SequencerLoop() {
         stop_after = true;
         break;
       }
+      // Nothing is sequenced under this batch's map yet, so fetch it
+      // again: a pending migration's gate is checked right after the
+      // previous seal, when CC is still behind, and would otherwise get
+      // another chance only at the next batch boundary — which a
+      // sequencer that keeps running ahead of CC may never reach with
+      // the gate open.
+      stamp_map();
       wait.Pause();
     }
 

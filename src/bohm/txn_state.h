@@ -25,12 +25,10 @@ enum class ExecState : uint32_t {
 /// A read-set element with the version reference the CC phase annotated
 /// ("a reference to the correct version of the record to read",
 /// Section 3.2.3). nullptr when the record does not exist at this
-/// transaction's timestamp, or when annotation is disabled (the executor
-/// then resolves it by chain traversal and caches the result here).
+/// transaction's timestamp.
 struct ReadRef {
   RecordId rec;
   Version* version = nullptr;
-  bool resolved = false;  // true once `version` is authoritative
 };
 
 /// A write-set element with its pre-inserted placeholder version.
@@ -53,9 +51,9 @@ class BohmTxn {
   /// publication.
   uint64_t submit_tick = 0;
   /// Bit i set when CC thread i has work in this transaction (computed by
-  /// the sequencer when interest pre-processing is enabled — the
-  /// Section 3.2.2 scalability mechanism; all-ones otherwise).
-  uint64_t cc_interest = ~0ull;
+  /// the sequencer's pre-processing — the Section 3.2.2 scalability
+  /// mechanism).
+  uint64_t cc_interest = 0;
 
   ReadRef* reads = nullptr;    // arena array, length n_reads
   uint32_t n_reads = 0;

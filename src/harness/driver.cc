@@ -52,41 +52,44 @@ BenchResult RunExecutorBench(ExecutorEngine& engine,
                              const DriverOptions& opt) {
   const uint32_t threads = engine.worker_threads();
   // Thread-safety: the driver coordinates workers only through these
-  // acquire/release flags and per-thread histograms (single-writer each,
-  // folded after join) — no locks, nothing for the static analysis to
-  // track (docs/CONCURRENCY.md).
+  // acquire/release flags and per-thread histograms and commit counts
+  // (single-writer each, read after join) — no locks, nothing for the
+  // static analysis to track (docs/CONCURRENCY.md).
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
   std::vector<Histogram> latencies(threads);
+  std::vector<uint64_t> window_commits(threads, 0);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (uint32_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       TxnSource source = maker(t);
       Histogram& lat = latencies[t];
+      uint64_t commits = 0;
       while (!stop.load(std::memory_order_acquire)) {
         ProcedurePtr proc = source();
         if (measuring.load(std::memory_order_acquire)) {
           auto s = Clock::now();
-          (void)engine.Execute(*proc, t);
-          lat.Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  Clock::now() - s)
-                  .count()));
+          if (engine.Execute(*proc, t).ok()) {
+            lat.Record(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    Clock::now() - s)
+                    .count()));
+            ++commits;
+          }
         } else {
           (void)engine.Execute(*proc, t);
         }
       }
+      window_commits[t] = commits;
     });
   }
 
   std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
-  // Snapshot the counters before opening the latency gate (and close it
-  // before the closing snapshot): every recorded transaction then commits
-  // inside the counter window except for at most one in-flight
-  // transaction per worker at each edge, so the histogram count tracks
-  // the window's commits to within `threads` samples — warmup-window
-  // commits never appear in the histogram.
+  // The window's commits are counted here, under the same gate as the
+  // latency samples, so the histogram count equals `commits` exactly.
+  // The engine snapshots cannot give that: workers keep committing
+  // between a snapshot and the gate flip.
   StatsSnapshot before = engine.Stats();
   auto t0 = Clock::now();
   measuring.store(true, std::memory_order_release);
@@ -98,6 +101,8 @@ BenchResult RunExecutorBench(ExecutorEngine& engine,
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
   BenchResult r = Window(before, after, Seconds(t0, t1));
+  r.commits = 0;
+  for (uint64_t c : window_commits) r.commits += c;
   for (const Histogram& h : latencies) r.latency_us.Merge(h);
   return r;
 }

@@ -38,10 +38,11 @@ struct BenchResult {
   uint64_t cc_aborts = 0;
   uint64_t logic_aborts = 0;
   /// Per-transaction latency in microseconds over the measurement window.
-  /// Executor engines: on-thread Execute() latency measured by the
-  /// driver. Bohm: end-to-end submit→commit-ack latency stamped at
-  /// Submit() and recorded at commit publication in the execution stage,
-  /// windowed between two quiesced snapshots so its count equals
+  /// Executor engines: on-thread latency of each committed Execute() call,
+  /// measured by the driver, which also counts `commits` under the same
+  /// gate. Bohm: end-to-end submit→commit-ack latency stamped at Submit()
+  /// and recorded at commit publication in the execution stage, windowed
+  /// between two quiesced snapshots. Either way its count equals
   /// `commits` exactly.
   Histogram latency_us;
   /// Per-stage stall attribution over the window (pipelined engines

@@ -5,22 +5,15 @@
 
 namespace bohm {
 
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNone:
-      return "none";
-    case FsyncPolicy::kBatch:
-      return "batch";
-    case FsyncPolicy::kGroup:
-      return "group";
-    case FsyncPolicy::kInterval:
-      return "interval";
-  }
-  return "unknown";
-}
+namespace {
+
+/// Sequencer -> writer ring slots (power of two).
+constexpr size_t kQueueCapacity = 256;
+
+}  // namespace
 
 LogWriter::LogWriter(BatchLog* log, const LogWriterOptions& opts)
-    : log_(log), opts_(opts), queue_(opts.queue_capacity) {}
+    : log_(log), opts_(opts), queue_(kQueueCapacity) {}
 
 LogWriter::~LogWriter() {
   if (thread_.joinable()) Stop();
@@ -90,13 +83,9 @@ void LogWriter::WriterLoop() {
   SpinWait wait;
   uint64_t unsynced = 0;  // records appended since the last durability point
   uint64_t last_appended = 0;
-  uint64_t last_sync_ns = MonotonicNanos();
 
   auto sync_now = [&] {
-    if (SyncThrough(last_appended)) {
-      unsynced = 0;
-      last_sync_ns = MonotonicNanos();
-    }
+    if (SyncThrough(last_appended)) unsynced = 0;
   };
 
   for (;;) {
@@ -127,29 +116,17 @@ void LogWriter::WriterLoop() {
         case FsyncPolicy::kGroup:
           if (unsynced >= opts_.group_size) sync_now();
           break;
-        case FsyncPolicy::kInterval:
-          if (MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
-            sync_now();
-          }
-          break;
       }
       continue;
     }
 
     // Ring is dry. Group commit syncs whatever accumulated (an idle
-    // pipeline must not leave acknowledged-later batches hanging);
-    // interval syncs when its clock expires. (relaxed: failed_ is
-    // written only by this thread.)
-    if (unsynced > 0 && !failed_.load(std::memory_order_relaxed)) {
-      if (opts_.policy == FsyncPolicy::kGroup) {
-        sync_now();
-        continue;
-      }
-      if (opts_.policy == FsyncPolicy::kInterval &&
-          MonotonicNanos() - last_sync_ns >= opts_.interval_us * 1000) {
-        sync_now();
-        continue;
-      }
+    // pipeline must not leave acknowledged-later batches hanging).
+    // (relaxed: failed_ is written only by this thread.)
+    if (unsynced > 0 && opts_.policy == FsyncPolicy::kGroup &&
+        !failed_.load(std::memory_order_relaxed)) {
+      sync_now();
+      continue;
     }
     if (stop_.load(std::memory_order_acquire) && queue_.Empty()) break;
     wait.Pause();

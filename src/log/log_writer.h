@@ -8,8 +8,7 @@
 // configured group-commit policy. The one cross-thread output is the
 // durable watermark: `durable_seqno()` is release-published after the
 // fsync that covers a record, and the execution stage acquire-reads it to
-// gate batch admission when durable-ack is on (docs/CONCURRENCY.md rule
-// R6). That ordering is what turns "executed" into "durably logged, then
+// gate batch admission (docs/CONCURRENCY.md rule R6). That ordering is what turns "executed" into "durably logged, then
 // executed" — the invariant the crash tests check.
 //
 // On an I/O error the writer trips `failed()` and switches to drain-and-
@@ -31,19 +30,14 @@ namespace bohm {
 
 /// When the log writer calls fsync.
 enum class FsyncPolicy {
-  kNone,      // never (OS decides); "durable" means handed to the kernel
-  kBatch,     // after every batch record — strongest, slowest
-  kGroup,     // after `group_size` records, or when the ring runs dry
-  kInterval,  // at most every `interval_us` microseconds
+  kNone,   // never (OS decides); "durable" means handed to the kernel
+  kBatch,  // after every batch record — strongest, slowest
+  kGroup,  // after `group_size` records, or when the ring runs dry
 };
-
-const char* FsyncPolicyName(FsyncPolicy policy);
 
 struct LogWriterOptions {
   FsyncPolicy policy = FsyncPolicy::kGroup;
   uint32_t group_size = 8;
-  uint64_t interval_us = 1000;
-  size_t queue_capacity = 256;  // power of two
 };
 
 class LogWriter {

@@ -306,7 +306,6 @@ struct EngineParams {
   uint32_t cc_threads;
   uint32_t exec_threads;
   uint32_t batch_size;
-  bool annotation;
   bool gc;
 };
 
@@ -319,7 +318,6 @@ TEST_P(BohmSerialEquivalence, RandomRmwMatchesSerialReplay) {
   cfg.cc_threads = p.cc_threads;
   cfg.exec_threads = p.exec_threads;
   cfg.batch_size = p.batch_size;
-  cfg.read_annotation = p.annotation;
   cfg.gc_enabled = p.gc;
   cfg.pipeline_depth = 4;
 
@@ -373,17 +371,15 @@ TEST_P(BohmSerialEquivalence, RandomRmwMatchesSerialReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, BohmSerialEquivalence,
-    ::testing::Values(
-        EngineParams{1, 1, 1, true, true},
-        EngineParams{1, 1, 64, true, true},
-        EngineParams{2, 2, 32, true, true},
-        EngineParams{3, 2, 17, true, true},
-        EngineParams{2, 3, 256, true, true},
-        EngineParams{2, 2, 32, false, true},   // chain traversal path
-        EngineParams{2, 2, 32, true, false},   // GC off
-        EngineParams{4, 4, 8, false, false},
-        EngineParams{1, 4, 512, true, true},
-        EngineParams{4, 1, 64, false, true}));
+    ::testing::Values(EngineParams{1, 1, 1, true},
+                      EngineParams{1, 1, 64, true},
+                      EngineParams{2, 2, 32, true},
+                      EngineParams{3, 2, 17, true},
+                      EngineParams{2, 3, 256, true},
+                      EngineParams{2, 2, 32, false},  // GC off
+                      EngineParams{4, 4, 8, false},
+                      EngineParams{1, 4, 512, true},
+                      EngineParams{4, 1, 64, true}));
 
 TEST(BohmEngineTest, HotKeyRmwChain) {
   // Every transaction RMWs the same key: maximal read-dependency chains

@@ -1,7 +1,6 @@
 // Pipeline-level behaviour of the Bohm engine: multi-client submission,
 // back-pressure through tiny rings, partial-batch sealing, interest
-// pre-processing equivalence, large records, and configuration edge
-// cases.
+// pre-processing, large records, and configuration edge cases.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,22 +94,14 @@ TEST(BohmPipelineTest, PartialBatchSealsWithoutMoreInput) {
   engine.Stop();
 }
 
-struct InterestParams {
-  bool preprocessing;
-  bool annotation;
-};
-
-class InterestEquivalence : public ::testing::TestWithParam<InterestParams> {
-};
-
-TEST_P(InterestEquivalence, SameResultWithAndWithoutPreprocessing) {
-  const InterestParams p = GetParam();
+TEST(BohmPipelineTest, InterestSkippingMatchesGoldenTotals) {
+  // Four CC threads over single-key transactions: every CC thread skips
+  // most transactions on the sequencer's interest mask, and the result
+  // must still match a serial sum.
   BohmConfig cfg;
   cfg.cc_threads = 4;
   cfg.exec_threads = 2;
   cfg.batch_size = 16;
-  cfg.interest_preprocessing = p.preprocessing;
-  cfg.read_annotation = p.annotation;
   BohmEngine engine(OneTable(32), cfg);
   uint64_t zero = 0;
   for (Key k = 0; k < 32; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
@@ -134,12 +125,6 @@ TEST_P(InterestEquivalence, SameResultWithAndWithoutPreprocessing) {
   }
   engine.Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(Configs, InterestEquivalence,
-                         ::testing::Values(InterestParams{true, true},
-                                           InterestParams{true, false},
-                                           InterestParams{false, true},
-                                           InterestParams{false, false}));
 
 TEST(BohmPipelineTest, LargeRecordsRoundTrip) {
   TableSpec spec;
