@@ -55,12 +55,16 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
     // fully passed (Condition 3, Section 3.3.2). Amortized once per batch.
     if (cfg_.gc_enabled) DrainRetired(cc_id);
 
-    // Skip transactions the sequencer's pre-processing found no work in
-    // for this thread (Start() caps cc_threads at 64, the mask width).
-    const uint64_t my_bit = 1ull << cc_id;
-    for (BohmTxn* txn : batch->txns) {
-      if ((txn->cc_interest & my_bit) == 0) continue;
-      CcProcessTxn(cc_id, txn, b);
+    if (prefetch_) {
+      CcBatchPrefetched(cc_id, *batch, b);
+    } else {
+      // Skip transactions the sequencer's pre-processing found no work in
+      // for this thread (Start() caps cc_threads at 64, the mask width).
+      const uint64_t my_bit = 1ull << cc_id;
+      for (BohmTxn* txn : batch->txns) {
+        if ((txn->cc_interest & my_bit) == 0) continue;
+        CcProcessTxn<false>(cc_id, txn, b);
+      }
     }
 
     if (hooks != nullptr && hooks->cc_batch_end) {
@@ -74,6 +78,81 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
   }
 }
 
+namespace {
+
+/// Calls f(table, partition, key, is_write) for every read- and write-set
+/// element of `txn` in a partition `cc_id` owns under `owners`.
+template <typename F>
+void ForOwnedElements(const BohmDatabase& db, const BohmTxn& txn,
+                      const uint32_t* owners, uint32_t cc_id, F&& f) {
+  for (uint32_t i = 0; i < txn.n_reads; ++i) {
+    const RecordId& rec = txn.reads[i].rec;
+    BohmTable* table = db.table(rec.table);
+    const uint32_t part = table->PartitionOf(rec.key);
+    if (owners[part] == cc_id) f(table, part, rec.key, false);
+  }
+  for (uint32_t i = 0; i < txn.n_writes; ++i) {
+    const RecordId& rec = txn.writes[i].rec;
+    BohmTable* table = db.table(rec.table);
+    const uint32_t part = table->PartitionOf(rec.key);
+    if (owners[part] == cc_id) f(table, part, rec.key, true);
+  }
+}
+
+/// Allocations ahead of use at which CcProcessTxn<true> prefetches the
+/// free-list version it will recycle (about one 10-write transaction).
+constexpr size_t kRecycleAhead = 8;
+
+}  // namespace
+
+// Memory-level parallelism for large tables (docs/ARCHITECTURE.md). Each
+// index touch of the plain loop is a dependent DRAM miss: bucket slot ->
+// entry -> head version, and a free-list version to re-initialize per
+// write. The batch is fixed and its footprint declared, so the misses of
+// later transactions can be started early, AMAC-style (Kocberber et al.,
+// PVLDB 2015), in three stages, each one transaction behind the previous:
+// while transaction i is processed, i+1 gets its head versions
+// prefetched (its entries arrived during stage 2), i+2 its entries (its
+// bucket slots arrived during stage 1), and i+3 its bucket slots. Every
+// stage touches only partitions this thread owns under the batch's map
+// (rule R8).
+void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch,
+                                   int64_t b) {
+  CcState& st = *cc_state_[cc_id];
+  const uint32_t* owners = batch.owners;
+  const uint64_t my_bit = 1ull << cc_id;
+  std::vector<BohmTxn*>& mine = st.mine;
+  mine.clear();
+  for (BohmTxn* txn : batch.txns) {
+    if ((txn->cc_interest & my_bit) != 0) mine.push_back(txn);
+  }
+  const size_t n = mine.size();
+  for (size_t i = 0; i < n + 3; ++i) {
+    if (i < n) {
+      ForOwnedElements(db_, *mine[i], owners, cc_id,
+                       [](BohmTable* t, uint32_t part, Key key, bool) {
+                         t->PrefetchBucket(part, key);
+                       });
+    }
+    if (i >= 1 && i - 1 < n) {
+      ForOwnedElements(db_, *mine[i - 1], owners, cc_id,
+                       [](BohmTable* t, uint32_t part, Key key, bool) {
+                         t->PrefetchEntry(part, key);
+                       });
+    }
+    if (i >= 2 && i - 2 < n) {
+      // A write reads the head version it supersedes (GC reads its
+      // allocator stamp); a read only copies the head pointer.
+      ForOwnedElements(db_, *mine[i - 2], owners, cc_id,
+                       [](BohmTable* t, uint32_t part, Key key, bool write) {
+                         if (write) t->PrefetchHead(part, key);
+                       });
+    }
+    if (i >= 3) CcProcessTxn<true>(cc_id, mine[i - 3], b);
+  }
+}
+
+template <bool kPrefetch>
 void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   CcState& st = *cc_state_[cc_id];
   // Route by the batch's partition map, not by thread id: the physical
@@ -108,7 +187,7 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
 
   // Writes: insert an uninitialized placeholder version per element
   // (Section 3.2.2, Figure 3). The placeholder is fully initialized
-  // (begin_ts, producer, prev) *before* it becomes reachable — either via
+  // (producer, prev) *before* it becomes reachable — either via
   // GetOrInsert's pre-publication head install (new record) or via the
   // head release-store below (existing record) — so a concurrent reader
   // never observes a partial version.
@@ -119,8 +198,10 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
     if (owners[part] != cc_id) continue;
     if (touch != nullptr) touch[part].Inc();
 
+    if constexpr (kPrefetch) {
+      st.alloc.PrefetchRecycled(w.rec.table, kRecycleAhead);
+    }
     Version* v = st.alloc.Alloc(w.rec.table, record_sizes_[w.rec.table]);
-    v->begin_ts = txn->ts;
     v->producer = txn;  // prev stays nullptr from Alloc until linked below
     st.versions_created.Inc();
 
@@ -134,12 +215,11 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
       // publication).
       Version* old = entry->head.load(std::memory_order_relaxed);
       v->prev = old;
-      if (old != nullptr) {
-        // Invalidate the superseded version (its end timestamp becomes
-        // this transaction's timestamp) and queue it for collection once
-        // every execution thread has finished this batch.
-        old->end_ts.store(txn->ts, std::memory_order_release);
-        if (cfg_.gc_enabled) RetireVersion(cc_id, old, batch_id);
+      // Queue the superseded version for collection once every execution
+      // thread has finished this batch. Nothing is written to it: this
+      // transaction's place in the order is producer->ts.
+      if (old != nullptr && cfg_.gc_enabled) {
+        RetireVersion(cc_id, old, batch_id);
       }
       entry->head.store(v, std::memory_order_release);
     }

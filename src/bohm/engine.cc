@@ -1,5 +1,6 @@
 #include "bohm/engine.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/affinity.h"
@@ -22,6 +23,10 @@ uint32_t EffectivePartitions(const BohmConfig& cfg) {
   if (p > 1024) p = 1024;
   return static_cast<uint32_t>(p);
 }
+
+/// Largest version-arena block: a big footprint is carved in several
+/// blocks rather than one mapping of its full size.
+constexpr uint64_t kMaxVersionBlockBytes = uint64_t{64} << 20;
 
 }  // namespace
 
@@ -48,16 +53,28 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
       exec_watermark_(cfg_.exec_threads),
       stats_(cfg_.exec_threads) {
   record_sizes_.resize(catalog_.MaxTableId(), 0);
+  // Version arenas of an engine with large tables take huge-page blocks
+  // sized from each CC thread's share of the large tables' declared
+  // footprint; small catalogs keep the default heap blocks.
+  uint64_t large_footprint = 0;
   for (const TableSpec& t : catalog_.tables()) {
     record_sizes_[t.id] = t.record_size;
+    if (IsLargeTable(t)) large_footprint += VersionFootprintBytes(t);
   }
+  prefetch_ = large_footprint > 0;
+  const uint64_t share = large_footprint / cfg_.cc_threads;
+  const bool huge_versions = share >= kHugePageBytes;
+  const size_t version_block =
+      huge_versions ? std::min(share, kMaxVersionBlockBytes)
+                    : Arena::kDefaultBlockBytes;
   // Feed capacity >= pipeline depth guarantees SealBatch's pushes succeed
   // (see the member comment in engine.h).
   const size_t feed_capacity = NextPow2(cfg_.pipeline_depth < 2
                                             ? 2
                                             : cfg_.pipeline_depth);
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
-    cc_state_.push_back(std::make_unique<CcState>());
+    cc_state_.push_back(
+        std::make_unique<CcState>(version_block, huge_versions));
     cc_state_.back()->alloc.set_owner(i);
     if (cfg_.adaptive.enabled) {
       cc_state_.back()->touch =
@@ -107,7 +124,6 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
   // retirees back to the allocating thread's free lists).
   const uint32_t owner = repart_->current()->owners[part];
   Version* v = cc_state_[owner]->alloc.Alloc(table, record_sizes_[table]);
-  v->begin_ts = kLoadTs;
   if (payload != nullptr) {
     std::memcpy(v->data(), payload, record_sizes_[table]);
   } else {

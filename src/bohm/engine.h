@@ -238,6 +238,14 @@ class BohmEngine {
   uint64_t gc_freed_versions() const;
   const BohmConfig& config() const { return cfg_; }
 
+  /// Some table of the catalog is large (IsLargeTable): the CC and exec
+  /// stages prefetch each admitted batch's footprint (test observable).
+  bool prefetching() const { return prefetch_; }
+  /// The version arena of CC thread `cc_id` (test observable).
+  const Arena& version_arena(uint32_t cc_id) const {
+    return cc_state_[cc_id]->alloc.arena();
+  }
+
   /// Physical partitions per table (== cc_threads unless adaptive
   /// repartitioning is enabled).
   uint32_t partition_count() const { return db_.partitions(); }
@@ -258,7 +266,12 @@ class BohmEngine {
   friend class BohmOps;
 
   struct alignas(kCacheLineSize) CcState {
+    CcState(size_t version_block_bytes, bool huge_pages)
+        : alloc(version_block_bytes, huge_pages) {}
     VersionAllocator alloc;
+    /// The transactions of the current batch this thread has work in
+    /// (scratch for the prefetching lookahead).
+    std::vector<BohmTxn*> mine;
     std::deque<std::pair<Version*, int64_t>> retired;  // (version, batch)
     RelaxedCounter freed;
     RelaxedCounter versions_created;
@@ -299,10 +312,23 @@ class BohmEngine {
 
   // --- concurrency-control stage (cc_worker.cc) ---
   void CcLoop(uint32_t cc_id);
+  /// CC over this thread's transactions of batch `b`, with a staged
+  /// prefetch lookahead over their index footprint (engines with a large
+  /// table, IsLargeTable).
+  void CcBatchPrefetched(uint32_t cc_id, const Batch& batch, int64_t b);
+  template <bool kPrefetch>
   void CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id);
 
   // --- execution stage (exec_worker.cc) ---
   void ExecLoop(uint32_t exec_id);
+  /// Runs this thread's stripe of `batch` until every transaction in it is
+  /// complete; kPrefetch prefetches each next stripe transaction's
+  /// annotated versions while the current one runs.
+  template <bool kPrefetch>
+  void ExecStripe(uint32_t exec_id, const Batch& batch);
+  /// Prefetches the versions an admitted transaction will read and the
+  /// placeholders it will write (for writing).
+  void PrefetchFootprint(const BohmTxn& txn) const;
   bool TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
   bool EnsureReady(uint32_t exec_id, Version* v, uint32_t depth);
   bool FillAbortedWrites(uint32_t exec_id, BohmTxn* txn, uint32_t depth);
@@ -330,6 +356,10 @@ class BohmEngine {
   /// Sequencer-private scratch for the per-partition touch-counter fold.
   std::vector<uint64_t> touch_totals_;
   std::vector<uint32_t> record_sizes_;  // by table id
+  /// Some table is large (IsLargeTable): CC and exec prefetch each
+  /// admitted batch's footprint, and version arenas use huge pages. Fixed
+  /// at construction from the catalog.
+  bool prefetch_ = false;
   BatchRing ring_;
   MpmcQueue<InputItem> input_;
   std::vector<std::unique_ptr<CcState>> cc_state_;

@@ -9,6 +9,7 @@
 // read dependencies are resolved: the blocked thread recursively evaluates
 // the producing transaction instead of waiting for it.
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -121,28 +122,69 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       hooks->exec_batch_start(exec_id, b);
     }
 
-    // Stripe: this thread is responsible for transactions exec_id,
-    // exec_id + n, ... . Other threads may execute them (and this thread
-    // may execute theirs, through dependency recursion), but this thread
-    // cannot advance to batch b+1 until all of its stripe is Complete.
-    const size_t n = batch->txns.size();
-    bool all_done = false;
-    SpinWait wait;
-    while (!all_done) {
-      all_done = true;
-      for (size_t idx = exec_id; idx < n; idx += cfg_.exec_threads) {
-        BohmTxn* txn = batch->txns[idx];
-        if (!txn->IsComplete()) {
-          TryExecute(exec_id, txn, 0);
-          if (!txn->IsComplete()) all_done = false;
-        }
-      }
-      if (!all_done) wait.Pause();
+    if (prefetch_) {
+      ExecStripe<true>(exec_id, *batch);
+    } else {
+      ExecStripe<false>(exec_id, *batch);
     }
     if (hooks != nullptr && hooks->exec_batch_end) {
       hooks->exec_batch_end(exec_id, b);
     }
     exec_watermark_.Advance(exec_id, b);
+  }
+}
+
+// Stripe: this thread is responsible for transactions exec_id,
+// exec_id + n, ... . Other threads may execute them (and this thread may
+// execute theirs, through dependency recursion), but this thread cannot
+// advance to the next batch until all of its stripe is Complete.
+//
+// kPrefetch (large tables): CC has annotated every read of the admitted
+// batch with the exact version to observe and given every write its
+// placeholder, so the next stripe transaction's whole footprint is known
+// while the current one runs. Prefetching it overlaps its DRAM misses
+// with the current transaction's work instead of taking them one by one
+// inside Run(). Only this admitted batch's annotations are read (rule R8).
+template <bool kPrefetch>
+void BohmEngine::ExecStripe(uint32_t exec_id, const Batch& batch) {
+  const size_t n = batch.txns.size();
+  const size_t stride = cfg_.exec_threads;
+  bool all_done = false;
+  SpinWait wait;
+  while (!all_done) {
+    all_done = true;
+    for (size_t idx = exec_id; idx < n; idx += stride) {
+      BohmTxn* txn = batch.txns[idx];
+      if (!txn->IsComplete()) {
+        if constexpr (kPrefetch) {
+          if (idx + stride < n) {
+            const BohmTxn& next = *batch.txns[idx + stride];
+            if (!next.IsComplete()) PrefetchFootprint(next);
+          }
+        }
+        TryExecute(exec_id, txn, 0);
+        if (!txn->IsComplete()) all_done = false;
+      }
+    }
+    if (!all_done) wait.Pause();
+  }
+}
+
+void BohmEngine::PrefetchFootprint(const BohmTxn& txn) const {
+  // Interleaved in the order a procedure typically touches them: the
+  // version an RMW reads, then the placeholder it writes.
+  const uint32_t n = std::max(txn.n_reads, txn.n_writes);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i < txn.n_reads && txn.reads[i].version != nullptr) {
+      const ReadRef& r = txn.reads[i];
+      PrefetchReadRange(r.version,
+                        sizeof(Version) + record_sizes_[r.rec.table]);
+    }
+    if (i < txn.n_writes) {
+      const WriteRef& w = txn.writes[i];
+      PrefetchWriteRange(w.version,
+                         sizeof(Version) + record_sizes_[w.rec.table]);
+    }
   }
 }
 

@@ -2,8 +2,42 @@
 
 namespace bohm {
 
+namespace {
+
+/// A large table's per-partition structure goes on a huge-page block when
+/// it fills at least one huge page; smaller ones (many adaptive
+/// partitions) would waste most of each 2 MiB page.
+bool UseHugeBlock(bool large, uint64_t bytes) {
+  return large && bytes >= kHugePageBytes;
+}
+
+/// A large table's partition takes its declared share of entries as one
+/// huge-page block; otherwise entries grow in 64 KiB heap blocks.
+Arena MakeEntryArena(bool large, uint64_t expected_entries) {
+  const uint64_t bytes = expected_entries * sizeof(BohmIndexEntry);
+  if (UseHugeBlock(large, bytes)) return Arena(bytes, /*huge_pages=*/true);
+  return Arena(1u << 16);
+}
+
+}  // namespace
+
+BohmTable::Partition::Partition(uint64_t buckets, uint64_t expected_entries,
+                                bool large)
+    : mask(buckets - 1),
+      bucket_block(MakeBlock(buckets * sizeof(*chains),
+                             UseHugeBlock(large, buckets * sizeof(*chains)))),
+      chains(reinterpret_cast<std::atomic<BohmIndexEntry*>*>(
+          bucket_block.get())),
+      arena(MakeEntryArena(large, expected_entries)) {
+  // Single-threaded construction; the table is published to workers only
+  // after the constructor returns.
+  for (uint64_t i = 0; i < buckets; ++i) {
+    new (&chains[i]) std::atomic<BohmIndexEntry*>(nullptr);
+  }
+}
+
 BohmTable::BohmTable(const TableSpec& spec, uint32_t partitions)
-    : spec_(spec) {
+    : spec_(spec), large_(IsLargeTable(spec)) {
   if (partitions == 0) partitions = 1;
   // Size each partition's bucket array for ~1 entry per bucket at the
   // declared capacity.
@@ -11,7 +45,7 @@ BohmTable::BohmTable(const TableSpec& spec, uint32_t partitions)
   uint64_t buckets = NextPow2(per_part * 2);
   parts_.reserve(partitions);
   for (uint32_t i = 0; i < partitions; ++i) {
-    parts_.push_back(std::make_unique<Partition>(buckets));
+    parts_.push_back(std::make_unique<Partition>(buckets, per_part, large_));
   }
 }
 

@@ -23,10 +23,32 @@
 #include "common/arena.h"
 #include "common/hash.h"
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "bohm/version.h"
 #include "storage/schema.h"
 
 namespace bohm {
+
+/// Declared version footprint at and above which a table counts as large
+/// (IsLargeTable). A large table's bucket array and entry arena, and the
+/// engine's version arenas, live on huge-page blocks sized from the
+/// declared capacity, and the CC and execution stages prefetch each
+/// admitted batch's footprint in it. Below the threshold the versions stay
+/// mostly cache-resident, so prefetching would only recompute hashes for
+/// lines already in L1, and a 2 MiB first-touch fault would cost more
+/// set-up time than the table's whole footprint. 8 MiB is four times the
+/// per-core L2 of the hosts measured (docs/ARCHITECTURE.md).
+inline constexpr uint64_t kLargeFootprintBytes = uint64_t{8} << 20;
+
+/// capacity x (version header + record): the memory one version of every
+/// declared record takes.
+inline uint64_t VersionFootprintBytes(const TableSpec& spec) {
+  return spec.capacity * (sizeof(Version) + spec.record_size);
+}
+
+inline bool IsLargeTable(const TableSpec& spec) {
+  return VersionFootprintBytes(spec) >= kLargeFootprintBytes;
+}
 
 /// Index entry: one per record ever written. The head pointer tracks the
 /// newest version (Figure 3's per-record chain).
@@ -44,6 +66,8 @@ class BohmTable {
 
   const TableSpec& spec() const { return spec_; }
   uint32_t partitions() const { return static_cast<uint32_t>(parts_.size()); }
+  /// IsLargeTable(spec()): index memory is on huge-page blocks.
+  bool large() const { return large_; }
 
   /// Physical partition of a key (static hash; the owning CC thread is
   /// the current partition map's assignment for this partition).
@@ -69,6 +93,33 @@ class BohmTable {
   /// passed `initial_head` is NOT installed).
   BohmIndexEntry* GetOrInsert(uint32_t partition, Key key,
                               Version* initial_head, bool* inserted);
+
+  /// CC lookahead, stage 1: prefetch the bucket slot `key` hashes to.
+  void PrefetchBucket(uint32_t partition, Key key) const {
+    const Partition& p = *parts_[partition];
+    PrefetchRead(&p.chains[BucketHash(key) & p.mask]);
+  }
+
+  /// CC lookahead, stage 2: prefetch the first entry of `key`'s bucket
+  /// chain (with ~1 entry per bucket, usually the entry itself). Owner
+  /// thread of `partition` only.
+  void PrefetchEntry(uint32_t partition, Key key) const {
+    const Partition& p = *parts_[partition];
+    // relaxed: called by the partition's single writer, which always sees
+    // its own latest chain head; the value only picks a prefetch address.
+    const BohmIndexEntry* e =
+        p.chains[BucketHash(key) & p.mask].load(std::memory_order_relaxed);
+    if (e != nullptr) PrefetchRead(e);
+  }
+
+  /// CC lookahead, stage 3: prefetch the head version of `key`'s entry
+  /// (its entry arrived during stage 2). Owner thread of `partition` only.
+  void PrefetchHead(uint32_t partition, Key key) const {
+    const BohmIndexEntry* e = Find(partition, key);
+    // relaxed: the partition's single writer reads back its own head
+    // stores (rule R7); the value only picks a prefetch address.
+    if (e != nullptr) PrefetchRead(e->head.load(std::memory_order_relaxed));
+  }
 
   /// Number of entries in a partition (test hook; owner thread only).
   uint64_t EntryCount(uint32_t partition) const {
@@ -99,22 +150,16 @@ class BohmTable {
 
  private:
   struct Partition {
-    explicit Partition(uint64_t buckets)
-        : mask(buckets - 1), arena(1u << 16) {
-      chains = std::make_unique<std::atomic<BohmIndexEntry*>[]>(buckets);
-      for (uint64_t i = 0; i < buckets; ++i) {
-        // relaxed: single-threaded construction; the table is published
-        // to workers only after the constructor returns.
-        chains[i].store(nullptr, std::memory_order_relaxed);
-      }
-    }
+    Partition(uint64_t buckets, uint64_t expected_entries, bool large);
     uint64_t mask;
-    std::unique_ptr<std::atomic<BohmIndexEntry*>[]> chains;
+    Block bucket_block;  // owns the memory `chains` points into
+    std::atomic<BohmIndexEntry*>* chains;
     Arena arena;        // entries; touched only by the owning CC thread
     uint64_t count = 0;
   };
 
   TableSpec spec_;
+  bool large_;
   std::vector<std::unique_ptr<Partition>> parts_;
 };
 

@@ -10,8 +10,6 @@ Version* VersionAllocator::Alloc(TableId table, uint32_t record_size) {
     // relaxed: the version is private to this CC thread until it is
     // release-published into the index (GetOrInsert / head store), which
     // orders these initializing stores for readers.
-    v->begin_ts = kLoadTs;
-    v->end_ts.store(kInfinityTs, std::memory_order_relaxed);
     v->flags.store(0, std::memory_order_relaxed);
     v->producer = nullptr;
     v->prev = nullptr;

@@ -1,5 +1,9 @@
-// Record versions, exactly the layout of Figure 3 in the paper:
-// {begin timestamp, end timestamp, txn pointer, data, prev pointer}.
+// Record versions, the layout of Figure 3 in the paper minus its two
+// timestamps: {txn pointer, data, prev pointer}. Bohm never reads a
+// version's begin or end timestamp — ordering is carried by the producing
+// transaction (producer->ts) and by read annotation (Section 3.2.3), which
+// hands every read the exact version to observe — so the fields are not
+// stored, and superseding a version does not write to it.
 //
 // A version is created by a concurrency-control thread as an uninitialized
 // placeholder (Section 3.2.2); its data is produced later by an execution
@@ -15,16 +19,12 @@
 
 #include "common/arena.h"
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "txn/key.h"
 
 namespace bohm {
 
 class BohmTxn;
-
-/// Timestamp of versions loaded before the engine starts.
-inline constexpr uint64_t kLoadTs = 0;
-/// "End timestamp = infinity" for the newest version of a record.
-inline constexpr uint64_t kInfinityTs = UINT64_MAX;
 
 /// Version state bits (in `flags`).
 inline constexpr uint32_t kVersionReady = 1u << 0;
@@ -33,13 +33,6 @@ inline constexpr uint32_t kVersionReady = 1u << 0;
 inline constexpr uint32_t kVersionTombstone = 1u << 1;
 
 struct Version {
-  /// Timestamp of the transaction that created this version. Immutable
-  /// after the version is published by its CC thread.
-  uint64_t begin_ts = kLoadTs;
-  /// Timestamp of the transaction that superseded this version;
-  /// kInfinityTs while this is the newest version. Written only by the one
-  /// CC thread that owns the record's partition.
-  std::atomic<uint64_t> end_ts{kInfinityTs};
   /// kVersionReady once the data has been produced (plus kVersionTombstone
   /// when the record is absent at this version).
   std::atomic<uint32_t> flags{0};
@@ -76,8 +69,12 @@ struct Version {
 /// allocated, retired, and recycled by the same CC thread.
 class VersionAllocator {
  public:
-  explicit VersionAllocator(size_t arena_block_bytes = Arena::kDefaultBlockBytes)
-      : arena_(arena_block_bytes) {}
+  /// `huge_pages`: carve versions from huge-page arena blocks (engines
+  /// whose catalog declares a large version footprint, bohm/table.h).
+  explicit VersionAllocator(
+      size_t arena_block_bytes = Arena::kDefaultBlockBytes,
+      bool huge_pages = false)
+      : arena_(arena_block_bytes, huge_pages) {}
   BOHM_DISALLOW_COPY_AND_ASSIGN(VersionAllocator);
 
   /// Id of the CC thread that owns this allocator, stamped into every
@@ -92,9 +89,20 @@ class VersionAllocator {
   /// version (same-thread discipline).
   void Free(Version* v);
 
+  /// Prefetches, for writing, the header of the version that the
+  /// `ahead`-th next Alloc for `table` will recycle (0: the very next).
+  /// Alloc re-initializes that header, and the free list is LIFO, so the
+  /// target is known long before the allocation. No-op past the list end.
+  void PrefetchRecycled(TableId table, size_t ahead) const {
+    if (table >= free_lists_.size()) return;
+    const std::vector<Version*>& list = free_lists_[table];
+    if (ahead < list.size()) PrefetchWrite(list[list.size() - 1 - ahead]);
+  }
+
   /// Number of versions currently parked on free lists (test hook).
   size_t FreeCount() const;
   size_t allocated_bytes() const { return arena_.allocated_bytes(); }
+  const Arena& arena() const { return arena_; }
 
  private:
   Arena arena_;

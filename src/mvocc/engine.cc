@@ -155,10 +155,10 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
       if (tb == txn) return v;  // own write: newest, end == infinity
       switch (tb->State()) {
         case MVTxnState::kCommitted:
-          effective_begin = tb->end_ts.load(std::memory_order_acquire);
+          effective_begin = tb->EndTs();
           break;
         case MVTxnState::kPreparing: {
-          uint64_t tb_end = tb->end_ts.load(std::memory_order_acquire);
+          uint64_t tb_end = tb->EndTs();
           if (cfg_.commit_dependencies && tb_end < B) {
             // Speculatively read the uncommitted version under a commit
             // dependency; if tb later aborts, so do we (cascade).
@@ -168,7 +168,7 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
             }
             // Registration raced with tb finishing: resolve by state.
             if (tb->State() == MVTxnState::kCommitted) {
-              effective_begin = tb->end_ts.load(std::memory_order_acquire);
+              effective_begin = tb->EndTs();
               break;
             }
           }
@@ -191,10 +191,10 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
       if (te == txn) continue;  // we superseded it; our new version wins
       switch (te->State()) {
         case MVTxnState::kCommitted:
-          if (te->end_ts.load(std::memory_order_acquire) <= B) continue;
+          if (te->EndTs() <= B) continue;
           return v;
         case MVTxnState::kPreparing: {
-          uint64_t te_end = te->end_ts.load(std::memory_order_acquire);
+          uint64_t te_end = te->EndTs();
           if (te_end > B) return v;  // stays visible whether te commits or not
           // te would invalidate this version before our snapshot; assume
           // it commits (dependency), so the version is invisible.
@@ -203,7 +203,7 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
           }
           // Raced with te finishing: re-resolve by final state.
           if (te->State() == MVTxnState::kCommitted &&
-              te->end_ts.load(std::memory_order_acquire) <= B) {
+              te->EndTs() <= B) {
             continue;
           }
           return v;
@@ -252,9 +252,7 @@ MVVersion* MVOccEngine::InstallWrite(MVRecordSlot* slot, MVTxn* txn,
     // committed after our begin timestamp is a write-write conflict with a
     // committed concurrent transaction (first-committer-wins).
     uint64_t vb = v->begin.load(std::memory_order_acquire);
-    uint64_t effective_begin =
-        MVIsTxn(vb) ? MVTxnPtr(vb)->end_ts.load(std::memory_order_acquire)
-                    : vb;
+    uint64_t effective_begin = MVIsTxn(vb) ? MVTxnPtr(vb)->EndTs() : vb;
     if (effective_begin > txn->begin_ts) return nullptr;
     uint64_t expected = kMVInfinity;
     if (!v->end.compare_exchange_strong(expected, MVTagTxn(txn),
@@ -284,7 +282,7 @@ MVVersion* MVOccEngine::InstallWrite(MVRecordSlot* slot, MVTxn* txn,
 }
 
 bool MVOccEngine::ValidateReads(MVTxn* txn) {
-  const uint64_t E = txn->end_ts.load(std::memory_order_acquire);
+  const uint64_t E = txn->EndTs();
   for (const MVTxn::ReadEntry& entry : txn->read_set) {
     MVVersion* v = entry.version;
     uint64_t ve = v->end.load(std::memory_order_acquire);
@@ -298,7 +296,7 @@ bool MVOccEngine::ValidateReads(MVTxn* txn) {
           continue;
         case MVTxnState::kPreparing:
         case MVTxnState::kCommitted:
-          if (te->end_ts.load(std::memory_order_acquire) > E) continue;
+          if (te->EndTs() > E) continue;
           return false;  // superseded within our lifetime: not repeatable
       }
     } else if (ve <= E) {
@@ -325,7 +323,7 @@ void MVOccEngine::UndoWrites(MVTxn* txn) {
 }
 
 void MVOccEngine::Postprocess(MVTxn* txn) {
-  const uint64_t E = txn->end_ts.load(std::memory_order_acquire);
+  const uint64_t E = txn->EndTs();
   for (const MVTxn::WriteEntry& w : txn->write_set) {
     w.installed->begin.store(E, std::memory_order_release);
     if (w.replaced != nullptr) {
@@ -360,12 +358,19 @@ Status MVOccEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
       return Status::Aborted("transaction logic aborted");
     }
 
-    // Precommit: acquire the end timestamp (second global-counter
-    // increment), then enter Preparing.
-    txn->end_ts.store(clock_.fetch_add(1, std::memory_order_acq_rel),
-                      std::memory_order_release);
+    // Precommit: enter Preparing, then acquire the end timestamp (second
+    // global-counter increment), then publish it. The order matters: a
+    // transaction whose begin-timestamp fetch_add reads past ours is
+    // synchronized with it (both are acq_rel RMWs on clock_), so it sees
+    // us as Preparing at least, and waits out the pending end timestamp
+    // (MVTxn::EndTs) instead of skipping our versions as Active — which
+    // would let it read the version we overwrite and later install over
+    // ours unopposed, losing our update.
     txn->state.store(static_cast<uint32_t>(MVTxnState::kPreparing),
                      std::memory_order_release);
+    const uint64_t end = clock_.fetch_add(1, std::memory_order_acq_rel);
+    if (end_ts_hook_) end_ts_hook_(thread_id, end);
+    txn->end_ts.store(end, std::memory_order_release);
 
     bool ok = cfg_.mode == MVOccMode::kHekaton ? ValidateReads(txn) : true;
     if (ok) ok = WaitForDependencies(txn);

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,6 +75,15 @@ class MVOccEngine final : public ExecutorEngine {
   // is synchronized through this read.
   uint64_t clock() const { return clock_.load(std::memory_order_relaxed); }
 
+  /// Test hook: runs on the executing thread after a transaction has
+  /// drawn its end timestamp and before it publishes it, so a hook that
+  /// blocks parks the transaction inside that window. Install before the
+  /// first Execute.
+  void set_end_ts_hook(
+      std::function<void(uint32_t thread_id, uint64_t end_ts)> hook) {
+    end_ts_hook_ = std::move(hook);
+  }
+
  private:
   friend class MVOps;
 
@@ -113,6 +123,8 @@ class MVOccEngine final : public ExecutorEngine {
   std::vector<uint32_t> record_sizes_;
   std::vector<std::unique_ptr<ThreadCtx>> ctx_;
   StatsRegistry stats_;
+
+  std::function<void(uint32_t, uint64_t)> end_ts_hook_;
 
   /// THE global timestamp counter (Section 2.1).
   alignas(kCacheLineSize) std::atomic<uint64_t> clock_{1};

@@ -18,7 +18,7 @@ namespace bohm {
 
 enum class MVTxnState : uint32_t {
   kActive = 0,     // executing logic
-  kPreparing = 1,  // end timestamp acquired, validating
+  kPreparing = 1,  // drawing or holding its end timestamp, validating
   kCommitted = 2,
   kAborted = 3,
 };
@@ -28,10 +28,17 @@ class MVTxn {
   MVTxn() = default;
   BOHM_DISALLOW_COPY_AND_ASSIGN(MVTxn);
 
+  /// end_ts while the timestamp is being drawn: a Preparing transaction
+  /// publishes its state *before* it draws the end timestamp, so a reader
+  /// whose begin timestamp is later never sees it as Active (which would
+  /// hide a version committed before the reader's snapshot).
+  static constexpr uint64_t kEndPending = UINT64_MAX;
+
   std::atomic<uint32_t> state{static_cast<uint32_t>(MVTxnState::kActive)};
   uint64_t begin_ts = 0;
-  /// Valid once state >= kPreparing (published before the state change).
-  std::atomic<uint64_t> end_ts{0};
+  /// kEndPending until drawn; meaningful once state >= kPreparing. Read it
+  /// through EndTs(), which waits out the pending window.
+  std::atomic<uint64_t> end_ts{kEndPending};
 
   /// Outstanding commit dependencies this transaction waits on.
   std::atomic<int32_t> dep_count{0};
@@ -40,6 +47,19 @@ class MVTxn {
 
   MVTxnState State() const {
     return static_cast<MVTxnState>(state.load(std::memory_order_acquire));
+  }
+
+  /// The end timestamp of a transaction observed in state >= kPreparing,
+  /// spinning while it is still being drawn (a few instructions, unless
+  /// the drawing thread is descheduled inside the window).
+  uint64_t EndTs() const {
+    uint64_t e = end_ts.load(std::memory_order_acquire);
+    SpinWait wait;
+    while (e == kEndPending) {
+      wait.Pause();
+      e = end_ts.load(std::memory_order_acquire);
+    }
+    return e;
   }
 
   /// Registers `dependent` as waiting on this transaction's outcome.

@@ -205,8 +205,6 @@ TEST(VersionAllocatorTest, AllocInitializesFields) {
   VersionAllocator alloc;
   Version* v = alloc.Alloc(0, 8);
   ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->begin_ts, kLoadTs);
-  EXPECT_EQ(v->end_ts.load(), kInfinityTs);
   EXPECT_FALSE(v->ready());
   EXPECT_FALSE(v->tombstone());
   EXPECT_EQ(v->prev, nullptr);
@@ -216,13 +214,13 @@ TEST(VersionAllocatorTest, AllocInitializesFields) {
 TEST(VersionAllocatorTest, FreeListRecycles) {
   VersionAllocator alloc;
   Version* v = alloc.Alloc(0, 8);
-  v->begin_ts = 55;
+  v->prev = v;
   v->flags.store(kVersionReady, std::memory_order_relaxed);
   alloc.Free(v);
   EXPECT_EQ(alloc.FreeCount(), 1u);
   Version* v2 = alloc.Alloc(0, 8);
   EXPECT_EQ(v2, v);  // recycled
-  EXPECT_EQ(v2->begin_ts, kLoadTs);  // re-initialized
+  EXPECT_EQ(v2->prev, nullptr);  // re-initialized
   EXPECT_FALSE(v2->ready());
   EXPECT_EQ(alloc.FreeCount(), 0u);
 }

@@ -119,6 +119,33 @@ TEST(ArenaTest, ResetReclaims) {
   EXPECT_NE(p, nullptr);
 }
 
+TEST(ArenaTest, HugeBlocksAreAlignedAndUsableEndToEnd) {
+  // 3 MiB rounds up to two whole huge pages per block.
+  Arena arena(3u << 20, /*huge_pages=*/true);
+  EXPECT_TRUE(arena.huge_pages());
+  EXPECT_EQ(arena.block_bytes(), 2 * kHugePageBytes);
+  for (int block = 0; block < 2; ++block) {
+    char* p = static_cast<char*>(arena.Allocate(arena.block_bytes()));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kHugePageBytes, 0u);
+    std::memset(p, 0x5A, arena.block_bytes());  // every byte is writable
+    EXPECT_EQ(static_cast<unsigned char>(p[arena.block_bytes() - 1]), 0x5A);
+  }
+  EXPECT_EQ(arena.block_count(), 2u);
+  // An oversized request gets its own block, also huge-page aligned.
+  char* big = static_cast<char*>(arena.Allocate(5u << 20));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % kHugePageBytes, 0u);
+  std::memset(big, 0x33, 5u << 20);
+  arena.Reset();
+  EXPECT_EQ(arena.block_count(), 1u);
+  EXPECT_NE(arena.Allocate(64), nullptr);
+}
+
+TEST(ArenaTest, DefaultBlocksStaySmall) {
+  Arena arena;
+  EXPECT_FALSE(arena.huge_pages());
+  EXPECT_EQ(arena.block_bytes(), Arena::kDefaultBlockBytes);
+}
+
 TEST(ArenaTest, NewConstructsInPlace) {
   struct Pod {
     int x;

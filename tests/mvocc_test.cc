@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -159,6 +161,73 @@ TEST_P(MVOccModeTest, TransfersConserveUnderContention) {
     total += v;
   }
   EXPECT_EQ(total, kKeys * kInitial);
+}
+
+TEST_P(MVOccModeTest, WriterParkedAfterDrawingEndTsLosesNoUpdate) {
+  // Lost-update regression. T1 increments X and is parked right after it
+  // draws its end timestamp E1, before publishing it. T2 begins after E1
+  // (B2 > E1), reads X, waits for T1 to commit, then writes X + 1. T2
+  // must observe T1's increment: T1 commits at E1 < B2, so it is in T2's
+  // snapshot. If T1 looked Active to T2 inside that window, T2 would read
+  // the pre-T1 value and, once T1 committed, install over T1's version
+  // without a conflict — under SI, T1's update would be lost.
+  auto engine = MakeEngine(GetParam(), 1, 2);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  std::atomic<uint64_t> t1_end{0};
+  engine->set_end_ts_hook([&](uint32_t thread_id, uint64_t end) {
+    if (thread_id != 0 || parked.load()) return;  // park T1's first commit
+    t1_end.store(end);
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+
+  std::atomic<bool> t1_committed{false};
+  std::thread t1([&] {
+    IncrementProcedure inc(0, 0);
+    EXPECT_TRUE(engine->Execute(inc, 0).ok());
+    t1_committed.store(true);
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  class ReadWaitWrite final : public StoredProcedure {
+   public:
+    ReadWaitWrite(std::atomic<bool>* read_done, std::atomic<bool>* go)
+        : read_done_(read_done), go_(go) {
+      set_.AddRmw(0, 0);
+    }
+    void Run(TxnOps& ops) override {
+      const uint64_t v = testutil::ReadU64(ops, 0, 0);
+      read_done_->store(true);
+      while (!go_->load()) std::this_thread::yield();
+      testutil::WriteU64(ops, 0, 0, v + 1);
+    }
+
+   private:
+    std::atomic<bool>* read_done_;
+    std::atomic<bool>* go_;
+  };
+  std::atomic<bool> t2_read{false};
+  std::thread t2([&] {
+    ReadWaitWrite proc(&t2_read, &t1_committed);
+    EXPECT_TRUE(engine->Execute(proc, 1).ok());
+  });
+  // T2 has drawn its begin timestamp once the clock passes E1 + 1.
+  while (engine->clock() <= t1_end.load() + 1) std::this_thread::yield();
+  // Keep T1 parked until T2 has read. A correct engine makes T2's read
+  // wait for T1's end timestamp, so give up waiting after a grace period;
+  // the outcome must be right either way.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  while (!t2_read.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  release.store(true);
+  t1.join();
+  t2.join();
+  uint64_t out = 0;
+  ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
+  EXPECT_EQ(out, 2u) << "an increment was lost";
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MVOccModeTest,
