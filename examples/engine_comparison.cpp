@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/bench_common.h"
+#include "harness/figures.h"
 
 using namespace bohm;
-using namespace bohm::bench;
 
 int main(int argc, char** argv) {
   const uint32_t threads =
@@ -28,19 +27,20 @@ int main(int argc, char** argv) {
   opt.warmup_ms = 100;
   opt.measure_ms = 400;
 
-  auto fn = [](YcsbGenerator& gen) {
-    return gen.Make(YcsbGenerator::TxnType::k2Rmw8R);
-  };
-
   std::printf("YCSB 2RMW-8R, theta=0.9, %u threads, %llu x 1000B records\n\n",
               threads, static_cast<unsigned long long>(cfg.record_count));
   std::printf("%-8s  %14s  %12s  %10s\n", "system", "txns/s", "cc-aborts",
               "abort-rate");
-  for (const System& s : AllSystems()) {
-    BenchResult r = s.is_bohm
-                        ? YcsbBohmPoint(cfg, threads, fn, opt)
-                        : YcsbExecutorPoint(s.kind, cfg, threads, fn, opt);
-    std::printf("%-8s  %14.0f  %12llu  %9.1f%%\n", s.label.c_str(),
+  for (const Point& p :
+       AllSystems({}, Ycsb(cfg, YcsbGenerator::TxnType::k2Rmw8R), threads)) {
+    BenchResult r;
+    Status st = RunPoint(p, opt, &r);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s failed: %s\n", p.system.c_str(),
+                   st.ToString().c_str());
+      return 1;
+    }
+    std::printf("%-8s  %14.0f  %12llu  %9.1f%%\n", p.system.c_str(),
                 r.Throughput(),
                 static_cast<unsigned long long>(r.cc_aborts),
                 100.0 * r.AbortRate());

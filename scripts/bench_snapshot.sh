@@ -1,42 +1,21 @@
 #!/usr/bin/env bash
-# Capture the committed bench trajectory: run the snapshot benchmarks
-# with their default parameters (any BOHM_BENCH_* knobs already in the
-# environment are honored) and write one BENCH_<figure>.json per binary
-# at the repo root. Re-run after perf-relevant changes and commit the
-# diff — the JSON embeds throughput and the full latency percentiles per
-# point, so the git history of these files is the perf trajectory.
+# Capture the committed bench trajectory: run the snapshot figures at
+# their default sizes and write one BENCH_<figure>.json per figure at the
+# repo root (paper_bench writes each file only once its figure has
+# completed). Re-run after perf-relevant changes and commit the diff; each
+# file's header records the host's nproc, the compiler and the build type.
 #
 # Usage: bench_snapshot.sh [build-dir]   (default: <repo>/build)
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
-build=${1:-$root/build}
+bin=${1:-$root/build}/paper_bench
+if [[ ! -x "$bin" ]]; then
+  echo "FAIL: $bin not built (run: cmake --build ${1:-$root/build} -j)" >&2
+  exit 1
+fi
 
-benches=(fig5_ycsb_10rmw fig7_theta_sweep abl_durability fig11_hotspot)
-
-for b in "${benches[@]}"; do
-  bin="$build/$b"
-  if [[ ! -x "$bin" ]]; then
-    echo "FAIL: $bin not built (run: cmake --build $build -j)" >&2
-    exit 1
-  fi
+for fig in fig5_ycsb_10rmw fig7_theta_sweep abl_durability fig11_hotspot; do
+  "$bin" "$fig" --json "$root/BENCH_$fig.json"
 done
-
-# Write each snapshot to a temp file and mv it into place: an interrupted
-# or crashed bench run must never leave a truncated BENCH_*.json behind
-# for git to commit as if it were a real measurement.
-for b in "${benches[@]}"; do
-  out="$root/BENCH_$b.json"
-  tmp=$(mktemp "$out.XXXXXX.tmp")
-  trap 'rm -f "$tmp"' EXIT
-  echo "== $b -> $out"
-  BOHM_BENCH_JSON="$tmp" "$build/$b"
-  if [[ ! -s "$tmp" ]]; then
-    echo "FAIL: $b wrote no JSON" >&2
-    exit 1
-  fi
-  mv "$tmp" "$out"
-  trap - EXIT
-done
-
 echo "Snapshots written. Review and commit the BENCH_*.json diffs."

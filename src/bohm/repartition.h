@@ -112,7 +112,7 @@ class RepartitionController {
     return decisions_.load(std::memory_order_acquire);
   }
   /// Last folded max-thread-load / mean-thread-load ratio, x1000 (gauge;
-  /// 1000 = perfectly balanced).
+  /// 1000 = perfectly balanced, 0 = never folded, i.e. not measured).
   uint64_t imbalance_x1000() const {
     return imbalance_x1000_.load(std::memory_order_acquire);
   }
@@ -147,7 +147,7 @@ class RepartitionController {
   /// Stats()/test readers.
   std::atomic<uint64_t> migrations_{0};
   std::atomic<uint64_t> decisions_{0};
-  std::atomic<uint64_t> imbalance_x1000_{1000};
+  std::atomic<uint64_t> imbalance_x1000_{0};
   std::atomic<uint64_t> epoch_{0};
 };
 

@@ -97,9 +97,10 @@ struct StatsSnapshot {
   /// Adaptive CC repartitioning (zero for non-Bohm engines and with the
   /// feature off). Migrations are monotone like the counters; the
   /// imbalance is a gauge — the last folded max/mean CC-thread load
-  /// ratio x1000 (1000 = perfectly balanced), NOT windowable by delta.
+  /// ratio x1000 (1000 = perfectly balanced, 0 = not measured), NOT
+  /// windowable by delta.
   uint64_t cc_migrations = 0;
-  uint64_t cc_imbalance_x1000 = 1000;
+  uint64_t cc_imbalance_x1000 = 0;
 
   double AbortRate() const {
     uint64_t attempts = commits + cc_aborts;

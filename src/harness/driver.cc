@@ -159,17 +159,23 @@ BenchResult RunBohmBench(BohmEngine& engine, const TxnSourceMaker& maker,
 
   std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
   StatsSnapshot before = quiesced_snapshot();
+  const uint64_t gc_before = engine.gc_freed_versions();
   auto t0 = Clock::now();
   pause.store(false, std::memory_order_release);
   std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
   StatsSnapshot after = quiesced_snapshot();
+  const uint64_t gc_after = engine.gc_freed_versions();
   auto t1 = Clock::now();
 
   stop.store(true, std::memory_order_release);
   pause.store(false, std::memory_order_release);
   for (auto& c : clients) c.join();
   engine.WaitForIdle();
-  return Window(before, after, Seconds(t0, t1));
+  BenchResult r = Window(before, after, Seconds(t0, t1));
+  r.gc_freed = gc_after - gc_before;
+  r.cc_threads = engine.config().cc_threads;
+  r.exec_threads = engine.config().exec_threads;
+  return r;
 }
 
 BenchResult RunExecutorCount(ExecutorEngine& engine,

@@ -64,9 +64,15 @@ struct BenchResult {
   /// Adaptive CC repartitioning over the window: partitions migrated
   /// between CC threads (snapshot delta) and the closing snapshot's
   /// max/mean CC-thread load ratio x1000 (a gauge — 1000 = balanced).
-  /// Zero / 1000 for executor engines and with the feature off.
+  /// Zero for executor engines and with the feature off: the gauge reads
+  /// 0 when nothing measured it.
   uint64_t cc_migrations = 0;
-  uint64_t cc_imbalance_x1000 = 1000;
+  uint64_t cc_imbalance_x1000 = 0;
+  /// Bohm only: versions the GC recycled over the window, and the CC /
+  /// exec thread split the engine ran with (read back from the engine).
+  uint64_t gc_freed = 0;
+  uint32_t cc_threads = 0;
+  uint32_t exec_threads = 0;
 
   double Throughput() const {
     return seconds > 0 ? static_cast<double>(commits) / seconds : 0.0;

@@ -1,5 +1,5 @@
 // Uniform construction of the paper's four baseline engines, so that the
-// figure benchmarks can sweep "system" as a parameter.
+// paper figures (harness/figures.h) can sweep "system" as a parameter.
 #pragma once
 
 #include <memory>
@@ -28,8 +28,11 @@ inline const char* EngineKindName(EngineKind kind) {
   return "?";
 }
 
+/// `commit_dependencies` applies to SI and Hekaton only (speculative reads
+/// of Preparing versions, MVOccConfig).
 inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
-    EngineKind kind, const Catalog& catalog, uint32_t threads) {
+    EngineKind kind, const Catalog& catalog, uint32_t threads,
+    bool commit_dependencies = true) {
   switch (kind) {
     case EngineKind::k2PL: {
       TwoPLConfig cfg;
@@ -45,12 +48,14 @@ inline std::unique_ptr<ExecutorEngine> MakeExecutorEngine(
       MVOccConfig cfg;
       cfg.mode = MVOccMode::kSnapshotIsolation;
       cfg.threads = threads;
+      cfg.commit_dependencies = commit_dependencies;
       return std::make_unique<MVOccEngine>(catalog, cfg);
     }
     case EngineKind::kHekaton: {
       MVOccConfig cfg;
       cfg.mode = MVOccMode::kHekaton;
       cfg.threads = threads;
+      cfg.commit_dependencies = commit_dependencies;
       return std::make_unique<MVOccEngine>(catalog, cfg);
     }
   }

@@ -1,23 +1,18 @@
-#include "harness/report.h"
+// The output half of harness/figures.h.
+#include "harness/figures.h"
 
 #include <cinttypes>
-#include <cstdio>
-#include <sstream>
-
-#include "common/env.h"
+#include <thread>
 
 namespace bohm {
 
-Report::Report(std::string title, std::vector<std::string> columns)
-    : title_(std::move(title)),
-      columns_(std::move(columns)),
-      csv_(EnvInt64("BOHM_BENCH_CSV", 0) != 0) {}
+#ifdef __clang__
+constexpr char kCompiler[] = __VERSION__;  // "Clang 15.0.6 ..."
+#else
+constexpr char kCompiler[] = "gcc " __VERSION__;
+#endif
 
-void Report::AddRow(std::vector<std::string> cells) {
-  rows_.push_back(std::move(cells));
-}
-
-std::string Report::FormatTput(double txns_per_sec) {
+std::string FormatTput(double txns_per_sec) {
   char buf[32];
   if (txns_per_sec >= 1e6) {
     std::snprintf(buf, sizeof(buf), "%.2fM", txns_per_sec / 1e6);
@@ -29,113 +24,37 @@ std::string Report::FormatTput(double txns_per_sec) {
   return buf;
 }
 
-std::string Report::FormatDouble(double v, int precision) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+std::string FormatRow(const Measurement& m) {
+  std::string params;
+  for (const auto& [k, v] : m.point.params) {
+    params += (params.empty() ? "" : " ") + k + "=" + v;
+  }
+  const BenchResult& r = m.result;
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "  %-13s %-64s %8s txn/s  abort %5.1f%%  p50/p99/p999 "
+                "%" PRIu64 "/%" PRIu64 "/%" PRIu64 " us",
+                m.point.system.c_str(), params.c_str(),
+                FormatTput(r.Throughput()).c_str(), 100.0 * r.AbortRate(),
+                r.P50Us(), r.P99Us(), r.P999Us());
   return buf;
 }
 
-void Report::Print() const {
-  if (csv_) {
-    std::printf("# %s\n", title_.c_str());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      std::printf("%s%s", c ? "," : "", columns_[c].c_str());
-    }
-    std::printf("\n");
-    for (const auto& row : rows_) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%s", c ? "," : "", row[c].c_str());
-      }
-      std::printf("\n");
-    }
-    return;
-  }
-
-  std::vector<size_t> widths(columns_.size(), 0);
-  for (size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-      if (row[c].size() > widths[c]) widths[c] = row[c].size();
-    }
-  }
-
-  std::printf("\n== %s ==\n", title_.c_str());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    std::printf("%-*s  ", static_cast<int>(widths[c]), columns_[c].c_str());
-  }
-  std::printf("\n");
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    std::printf("%s  ", std::string(widths[c], '-').c_str());
-  }
-  std::printf("\n");
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
-}
-
-namespace {
-
-/// Minimal JSON string escaping for the label/parameter strings the
-/// benches emit (quotes, backslashes, control characters).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-JsonReport::JsonReport(std::string figure)
-    : figure_(std::move(figure)), path_(EnvStr("BOHM_BENCH_JSON", "")) {}
-
-void JsonReport::AddPoint(Params params, const std::string& system,
-                          const BenchResult& r) {
-  if (!enabled()) return;
-  points_.push_back(Point{std::move(params), system, r});
-}
-
-void JsonReport::Write() const {
-  if (!enabled()) return;
-  FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "JsonReport: cannot open %s for writing\n",
-                 path_.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"figure\": \"%s\",\n  \"points\": [\n",
-               JsonEscape(figure_).c_str());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    const Point& p = points_[i];
-    const BenchResult& r = p.result;
+void WriteJson(std::FILE* f, const char* figure,
+               const std::vector<Measurement>& points) {
+  std::fprintf(f,
+               "{\n  \"figure\": \"%s\", \"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\",\n  \"points\": [\n",
+               figure, std::thread::hardware_concurrency(), kCompiler,
+               BOHM_BUILD_TYPE);
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point& p = points[i].point;
+    const BenchResult& r = points[i].result;
     // One point per line, keys in a fixed order, so line-oriented tools
-    // (the bench_smoke checker) can assert on fields without a parser.
-    std::fprintf(f, "    {\"system\": \"%s\"", JsonEscape(p.system).c_str());
+    // can pick fields without a JSON parser.
+    std::fprintf(f, "    {\"system\": \"%s\"", p.system.c_str());
     for (const auto& [k, v] : p.params) {
-      std::fprintf(f, ", \"%s\": \"%s\"", JsonEscape(k).c_str(),
-                   JsonEscape(v).c_str());
+      std::fprintf(f, ", \"%s\": \"%s\"", k.c_str(), v.c_str());
     }
     std::fprintf(
         f,
@@ -148,8 +67,7 @@ void JsonReport::Write() const {
         ", \"seq_stall_us\": %.1f, \"cc_stall_us\": %.1f"
         ", \"exec_stall_us\": %.1f, \"log_stall_us\": %.1f"
         ", \"log_bytes\": %" PRIu64 ", \"log_records\": %" PRIu64
-        ", \"fsyncs\": %" PRIu64 ", \"cc_migrations\": %" PRIu64
-        ", \"cc_imbalance\": %.3f}%s\n",
+        ", \"fsyncs\": %" PRIu64 ", \"cc_migrations\": %" PRIu64,
         r.seconds, r.commits, r.cc_aborts, r.logic_aborts, r.Throughput(),
         r.AbortRate(), r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
         r.P99Us(), r.P999Us(), r.latency_us.max(),
@@ -157,14 +75,17 @@ void JsonReport::Write() const {
         static_cast<double>(r.cc_stall_ns) / 1000.0,
         static_cast<double>(r.exec_stall_ns) / 1000.0,
         static_cast<double>(r.log_stall_ns) / 1000.0, r.log_bytes,
-        r.log_records, r.log_fsyncs, r.cc_migrations,
-        static_cast<double>(r.cc_imbalance_x1000) / 1000.0,
-        i + 1 < points_.size() ? "," : "");
+        r.log_records, r.log_fsyncs, r.cc_migrations);
+    if (r.cc_imbalance_x1000 == 0) {
+      std::fprintf(f, ", \"cc_imbalance\": null");
+    } else {
+      std::fprintf(f, ", \"cc_imbalance\": %.3f",
+                   static_cast<double>(r.cc_imbalance_x1000) / 1000.0);
+    }
+    if (!p.executor) std::fprintf(f, ", \"gc_freed\": %" PRIu64, r.gc_freed);
+    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("JSON written to %s (%zu points)\n", path_.c_str(),
-              points_.size());
 }
 
 }  // namespace bohm

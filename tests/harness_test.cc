@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdio>
+#include <string>
 
 #include "harness/driver.h"
 #include "harness/engines.h"
-#include "harness/report.h"
-#include "harness/sweep.h"
+#include "harness/figures.h"
 #include "test_util.h"
 #include "workload/micro.h"
 
@@ -187,31 +187,47 @@ TEST(SweepTest, BohmSplitCoversCases) {
   EXPECT_GE(c0.exec_threads, 1u);
 }
 
-TEST(SweepTest, EnvOverridesThreads) {
-  ::setenv("BOHM_BENCH_THREADS", "3,9", 1);
-  auto v = BenchThreads();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[1], 9);
-  ::unsetenv("BOHM_BENCH_THREADS");
-}
-
-TEST(SweepTest, ScanSizeClampedToHalfTable) {
-  ::unsetenv("BOHM_BENCH_SCAN_SIZE");
-  EXPECT_EQ(BenchScanSize(1'000'000), 10'000u);
-  EXPECT_EQ(BenchScanSize(100), 50u);
-}
-
 TEST(ReportTest, FormatTput) {
-  EXPECT_EQ(Report::FormatTput(2'500'000), "2.50M");
-  EXPECT_EQ(Report::FormatTput(12'300), "12.3K");
-  EXPECT_EQ(Report::FormatTput(42), "42");
+  EXPECT_EQ(FormatTput(2'500'000), "2.50M");
+  EXPECT_EQ(FormatTput(12'300), "12.3K");
+  EXPECT_EQ(FormatTput(42), "42");
 }
 
-TEST(ReportTest, PrintDoesNotCrash) {
-  Report r("test table", {"threads", "tput"});
-  r.AddRow({"1", "10K"});
-  r.AddRow({"2", "20K"});
-  r.Print();
+std::string JsonOf(const std::vector<Measurement>& points) {
+  std::FILE* f = std::tmpfile();
+  WriteJson(f, "fig_test", points);
+  std::rewind(f);
+  std::string out;
+  for (int c; (c = std::fgetc(f)) != EOF;) out += static_cast<char>(c);
+  std::fclose(f);
+  return out;
+}
+
+// An unmeasured imbalance gauge prints as null, not as perfect balance;
+// only Bohm points carry gc_freed; the header names the host.
+TEST(ReportTest, JsonMarksUnmeasuredGaugeNull) {
+  Measurement executor;
+  executor.point.system = "2PL";
+  executor.point.executor = EngineKind::k2PL;
+  executor.point.params = {{"threads", "2"}};
+  Measurement bohm;
+  bohm.point.system = "Bohm";
+  bohm.result.cc_imbalance_x1000 = 1250;
+  bohm.result.gc_freed = 7;
+  const std::string json = JsonOf({executor, bohm});
+  EXPECT_NE(json.find("\"figure\": \"fig_test\", \"nproc\": "),
+            std::string::npos);
+  EXPECT_NE(json.find("\"compiler\": "), std::string::npos);
+  EXPECT_NE(json.find("\"build_type\": "), std::string::npos);
+  const size_t second = json.find("{\"system\": \"Bohm\"");
+  ASSERT_NE(second, std::string::npos);
+  const std::string line1 = json.substr(0, second);
+  const std::string line2 = json.substr(second);
+  EXPECT_NE(line1.find("\"threads\": \"2\""), std::string::npos);
+  EXPECT_NE(line1.find("\"cc_imbalance\": null}"), std::string::npos);
+  EXPECT_EQ(line1.find("gc_freed"), std::string::npos);
+  EXPECT_NE(line2.find("\"cc_imbalance\": 1.250, \"gc_freed\": 7}"),
+            std::string::npos);
 }
 
 TEST(ReportTest, BenchResultMath) {
