@@ -36,7 +36,7 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
       SpinWait wait;
       for (;;) {
         if (feed.TryPop(&b)) break;
-        if (sequencer_done_.load(std::memory_order_acquire)) {
+        if (sealed_.sequencer_done.load(std::memory_order_acquire)) {
           if (feed.TryPop(&b)) break;
           stall.ns.Inc(MonotonicNanos() - stall_start);
           return;

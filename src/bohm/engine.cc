@@ -45,13 +45,13 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
       db_(catalog_, EffectivePartitions(cfg_)),
       repart_(std::make_unique<RepartitionController>(
           db_.partitions(), cfg_.cc_threads, cfg_.adaptive)),
-      touch_totals_(db_.partitions(), 0),
       ring_(cfg_.pipeline_depth),
       input_(NextPow2(cfg_.input_queue_capacity < 2 ? 2
                                                     : cfg_.input_queue_capacity)),
       cc_watermark_(cfg_.cc_threads),
       exec_watermark_(cfg_.exec_threads),
       stats_(cfg_.exec_threads) {
+  seq_.touch_totals.assign(db_.partitions(), 0);
   record_sizes_.resize(catalog_.MaxTableId(), 0);
   // Version arenas of an engine with large tables take huge-page blocks
   // sized from each CC thread's share of the large tables' declared
@@ -110,7 +110,7 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
 BohmEngine::~BohmEngine() { Stop(); }
 
 Status BohmEngine::Load(TableId table, Key key, const void* payload) {
-  if (started_.load(std::memory_order_acquire)) {
+  if (life_.started.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("Load after Start");
   }
   BohmTable* t = db_.table(table);
@@ -174,16 +174,16 @@ Status BohmEngine::Start() {
     }
   }
   bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) {
+  if (!life_.started.compare_exchange_strong(expected, true)) {
     return Status::FailedPrecondition("already started");
   }
   if (log_ != nullptr) {
     Status opened = log_->Open();
     if (!opened.ok()) {
       // Roll back the CAS: no pipeline thread was spawned, so leaving
-      // started_ set would let Submit() enqueue transactions nothing
+      // started set would let Submit() enqueue transactions nothing
       // ever dequeues (callers would then hang in WaitForIdle).
-      started_.store(false, std::memory_order_release);
+      life_.started.store(false, std::memory_order_release);
       return opened;
     }
     log_writer_->Start();
@@ -213,12 +213,12 @@ Status BohmEngine::Start() {
 }
 
 void BohmEngine::Stop() {
-  if (!started_.load(std::memory_order_acquire)) return;
+  if (!life_.started.load(std::memory_order_acquire)) return;
   bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
+  if (!life_.stopping.compare_exchange_strong(expected, true)) {
     // Another caller is already stopping; wait for the joins to finish.
     SpinWait wait;
-    while (!stopped_.load(std::memory_order_acquire)) wait.Pause();
+    while (!life_.stopped.load(std::memory_order_acquire)) wait.Pause();
     return;
   }
   for (auto& t : threads_) t.join();
@@ -228,7 +228,7 @@ void BohmEngine::Stop() {
   // sync, and closes the segment — a clean shutdown leaves a fully
   // durable log even with unflushed group-commit buffers.
   if (log_writer_ != nullptr) log_writer_->Stop();
-  stopped_.store(true, std::memory_order_release);
+  life_.stopped.store(true, std::memory_order_release);
 }
 
 // Graceful rejection, never a crash: a transaction the engine cannot take
@@ -238,8 +238,8 @@ void BohmEngine::Stop() {
 // check here is what keeps a stray table id from dereferencing a null
 // BohmTable inside the pipeline.
 Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
-  if (!started_.load(std::memory_order_acquire) ||
-      stopping_.load(std::memory_order_acquire)) {
+  if (!life_.started.load(std::memory_order_acquire) ||
+      life_.stopping.load(std::memory_order_acquire)) {
     return Status::Rejected("engine not running");
   }
   if (log_degraded()) {
@@ -289,18 +289,21 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
   return Status::OK();
 }
 
+Status BohmEngine::Enqueue(StoredProcedure* proc, bool owned) {
+  BOHM_RETURN_NOT_OK(CheckSubmit(proc));
+  client_.submitted.fetch_add(1, std::memory_order_acq_rel);
+  input_.Push(InputItem{proc, owned, MonotonicNanos()});
+  return Status::OK();
+}
+
 Status BohmEngine::Submit(ProcedurePtr proc) {
-  BOHM_RETURN_NOT_OK(CheckSubmit(proc.get()));
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  input_.Push(InputItem{proc.release(), /*owned=*/true, MonotonicNanos()});
+  BOHM_RETURN_NOT_OK(Enqueue(proc.get(), /*owned=*/true));
+  (void)proc.release();  // the sequencer's batch slot owns it now
   return Status::OK();
 }
 
 Status BohmEngine::SubmitBorrowed(StoredProcedure* proc) {
-  BOHM_RETURN_NOT_OK(CheckSubmit(proc));
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  input_.Push(InputItem{proc, /*owned=*/false, MonotonicNanos()});
-  return Status::OK();
+  return Enqueue(proc, /*owned=*/false);
 }
 
 Status BohmEngine::RunSync(ProcedurePtr proc) {
@@ -313,7 +316,7 @@ uint64_t BohmEngine::CompletedCount() const { return stats_.FoldCompleted(); }
 
 void BohmEngine::WaitForIdle() {
   SpinWait wait;
-  while (CompletedCount() < submitted_.load(std::memory_order_acquire)) {
+  while (CompletedCount() < submitted()) {
     wait.Pause();
   }
 }
@@ -325,6 +328,7 @@ int64_t BohmEngine::CcWatermark() const { return cc_watermark_.Min(); }
 StatsSnapshot BohmEngine::Stats() const {
   StatsSnapshot s = stats_.Fold();
   s.seq_stall_ns = seq_stall_.ns.Get();
+  s.seq_idle_ns = seq_idle_.ns.Get();
   for (const auto& st : cc_stall_) s.cc_stall_ns += st->ns.Get();
   for (const auto& st : exec_stall_) s.exec_stall_ns += st->ns.Get();
   s.log_stall_ns = seq_log_stall_.ns.Get();
@@ -349,7 +353,7 @@ Status BohmEngine::Recover() {
   if (!cfg_.durability.enabled) {
     return Status::FailedPrecondition("Recover without durability enabled");
   }
-  if (started_.load(std::memory_order_acquire)) {
+  if (life_.started.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("Recover after Start");
   }
   LogEnv* env = cfg_.durability.env != nullptr ? cfg_.durability.env
@@ -369,12 +373,12 @@ Status BohmEngine::Recover() {
   // Replay mode: the pipeline runs normally but nothing is re-logged and
   // execution is not gated on durability (the batches being replayed are
   // durable by definition). The release back to false below is what
-  // publishes log_base_ to the pipeline threads (rule R6).
-  replaying_.store(true, std::memory_order_release);
+  // publishes log_base to the pipeline threads (rule R6).
+  life_.replaying.store(true, std::memory_order_release);
   recovered_ = true;  // lets Start() past its nonempty-directory check
   Status started = Start();
   if (!started.ok()) {
-    replaying_.store(false, std::memory_order_release);
+    life_.replaying.store(false, std::memory_order_release);
     return started;
   }
   for (ReplayedBatch& batch : batches) {
@@ -392,8 +396,8 @@ Status BohmEngine::Recover() {
   // (last_sealed_batch + 1) must get seqno last_seqno + 1.
   const int64_t sealed = last_sealed_batch();
   const uint64_t last_seqno = recovery_stats_.last_seqno;
-  log_base_ = last_seqno + 1 - static_cast<uint64_t>(sealed + 1);
-  replaying_.store(false, std::memory_order_release);
+  life_.log_base = last_seqno + 1 - static_cast<uint64_t>(sealed + 1);
+  life_.replaying.store(false, std::memory_order_release);
   return Status::OK();
 }
 

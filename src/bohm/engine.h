@@ -230,10 +230,10 @@ class BohmEngine {
   /// Highest batch id the sequencer has sealed so far (-1 before the
   /// first seal).
   int64_t last_sealed_batch() const {
-    return last_sealed_batch_.load(std::memory_order_acquire);
+    return sealed_.last_sealed_batch.load(std::memory_order_acquire);
   }
   uint64_t submitted() const {
-    return submitted_.load(std::memory_order_acquire);
+    return client_.submitted.load(std::memory_order_acquire);
   }
   uint64_t gc_freed_versions() const;
   const BohmConfig& config() const { return cfg_; }
@@ -300,14 +300,14 @@ class BohmEngine {
   void SequencerLoop();
   void SealBatch(Batch* batch, int64_t id);
   /// Folds the per-thread per-partition touch counters into
-  /// touch_totals_ and feeds them to the repartition controller
+  /// seq_.touch_totals and feeds them to the repartition controller
   /// (sequencer thread only; adaptive repartitioning only).
   void FoldTouchCounters();
   /// Encodes + hands the sealed batch to the log writer (sequencer thread
   /// only; no-op while replaying).
   void LogSealedBatch(const Batch& batch, int64_t id);
 
-  /// Shared admission checks for Submit/SubmitBorrowed.
+  /// Admission checks for Enqueue.
   Status CheckSubmit(const StoredProcedure* proc) const;
 
   // --- concurrency-control stage (cc_worker.cc) ---
@@ -353,8 +353,6 @@ class BohmEngine {
   /// map that never migrates when adaptive is off). Mutated only by the
   /// sequencer; monitors are release-published.
   std::unique_ptr<RepartitionController> repart_;
-  /// Sequencer-private scratch for the per-partition touch-counter fold.
-  std::vector<uint64_t> touch_totals_;
   std::vector<uint32_t> record_sizes_;  // by table id
   /// Some table is large (IsLargeTable): CC and exec prefetch each
   /// admitted batch's footprint, and version arenas use huge pages. Fixed
@@ -375,6 +373,8 @@ class BohmEngine {
   std::vector<std::unique_ptr<SpscQueue<int64_t>>> exec_feed_;
   StatsRegistry stats_;  // one slice per execution thread
   StallSlot seq_stall_;
+  /// Sequencer waiting for input with nothing to seal (starved, not busy).
+  StallSlot seq_idle_;
   std::vector<std::unique_ptr<StallSlot>> cc_stall_;
   std::vector<std::unique_ptr<StallSlot>> exec_stall_;
   std::shared_ptr<const BohmTestHooks> hooks_;
@@ -387,28 +387,62 @@ class BohmEngine {
   StallSlot seq_log_stall_;  ///< sequencer blocked on the writer ring
   /// Per-exec-thread durable-ack wait (rule R6 gate).
   std::vector<std::unique_ptr<StallSlot>> exec_log_stall_;
-  /// True while Recover() is pushing the old log back through the
-  /// pipeline: suppresses re-logging and the durable-ack gate. The
-  /// release store back to false publishes log_base_ (rule R6).
-  std::atomic<bool> replaying_{false};
-  /// seqno of batch id b is log_base_ + b; seqno 0 is reserved. Written
-  /// by Recover() before replaying_ returns to false; read by the
-  /// sequencer and exec threads only when replaying_ is false.
-  uint64_t log_base_ = 1;
   bool recovered_ = false;  // Recover() ran (gates Start's nonempty check)
   RecoveryStats recovery_stats_;
-  /// Sequencer-private scratch for batch payload encoding.
-  std::vector<const StoredProcedure*> log_txn_scratch_;
 
   std::vector<std::thread> threads_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
-  std::atomic<bool> sequencer_done_{false};
-  std::atomic<int64_t> last_sealed_batch_{-1};
-  std::atomic<uint64_t> submitted_{0};
-  uint64_t next_ts_ = 1;         // sequencer-private
-  int64_t next_batch_id_ = 0;    // sequencer-private
+
+  // One writer per hot cache line (docs/CONCURRENCY.md, rule R9): the
+  // mutable words written per transaction or per batch are grouped by
+  // the thread that writes them, each group on lines of its own, so a
+  // client's Submit never pulls the sequencer's line away from it.
+
+  /// Written by client threads, once per accepted Submit.
+  struct alignas(kCacheLineSize) ClientLine {
+    std::atomic<uint64_t> submitted{0};
+  };
+  /// Sequencer-private: plain fields only the sequencer thread touches.
+  struct alignas(kCacheLineSize) SequencerLine {
+    uint64_t next_ts = 1;
+    int64_t next_batch_id = 0;
+    /// Scratch for the per-partition touch-counter fold.
+    std::vector<uint64_t> touch_totals;
+    /// Scratch for batch payload encoding.
+    std::vector<const StoredProcedure*> log_txn_scratch;
+  };
+  /// Published by the sequencer once per sealed batch (and once at exit).
+  struct alignas(kCacheLineSize) SealLine {
+    std::atomic<int64_t> last_sealed_batch{-1};
+    std::atomic<bool> sequencer_done{false};
+  };
+  /// Lifecycle state: written a few times per engine lifetime, read on
+  /// every Submit and per batch.
+  struct alignas(kCacheLineSize) LifecycleLine {
+    std::atomic<bool> started{false};
+    std::atomic<bool> stopping{false};
+    std::atomic<bool> stopped{false};
+    /// True while Recover() is pushing the old log back through the
+    /// pipeline: suppresses re-logging and the durable-ack gate. The
+    /// release store back to false publishes log_base (rule R6).
+    std::atomic<bool> replaying{false};
+    /// seqno of batch id b is log_base + b; seqno 0 is reserved. Written
+    /// by Recover() before replaying returns to false; read by the
+    /// sequencer and exec threads only when replaying is false.
+    uint64_t log_base = 1;
+  };
+  static_assert(alignof(ClientLine) == kCacheLineSize);
+  static_assert(alignof(SequencerLine) == kCacheLineSize);
+  static_assert(alignof(SealLine) == kCacheLineSize);
+  static_assert(alignof(LifecycleLine) == kCacheLineSize);
+
+  ClientLine client_;
+  /// Accepts `proc` (owned: destroyed when its batch slot is reused) and
+  /// hands it to the sequencer; the one enqueue path behind Submit and
+  /// SubmitBorrowed.
+  Status Enqueue(StoredProcedure* proc, bool owned);
+  SequencerLine seq_;
+  SealLine sealed_;
+  LifecycleLine life_;
 };
 
 }  // namespace bohm

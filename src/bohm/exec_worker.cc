@@ -73,7 +73,7 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       SpinWait wait;
       for (;;) {
         if (feed.TryPop(&b)) break;
-        if (sequencer_done_.load(std::memory_order_acquire)) {
+        if (sealed_.sequencer_done.load(std::memory_order_acquire)) {
           if (feed.TryPop(&b)) break;
           stall.ns.Inc(MonotonicNanos() - stall_start);
           return;
@@ -104,8 +104,9 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // by a writer failure: the engine then degrades to non-durable
     // execution of in-flight work while Submit rejects anything new,
     // rather than wedging shutdown on a watermark that will never move.
-    if (log_writer_ != nullptr && !replaying_.load(std::memory_order_acquire)) {
-      const uint64_t need = log_base_ + static_cast<uint64_t>(b);
+    if (log_writer_ != nullptr &&
+        !life_.replaying.load(std::memory_order_acquire)) {
+      const uint64_t need = life_.log_base + static_cast<uint64_t>(b);
       if (log_writer_->durable_seqno() < need && !log_writer_->failed()) {
         const uint64_t stall_start = MonotonicNanos();
         SpinWait wait;

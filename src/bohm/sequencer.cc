@@ -20,24 +20,24 @@ namespace bohm {
 // back-pressure, attributed to the log stall counter. Every sealed batch
 // gets a record — even one whose transactions are all non-loggable
 // read-only observers produces an (empty) record, because the durable-ack
-// gate in ExecLoop waits for seqno log_base_ + id and seqnos must stay
+// gate in ExecLoop waits for seqno log_base + id and seqnos must stay
 // dense for the recovery scan.
 void BohmEngine::LogSealedBatch(const Batch& batch, int64_t id) {
   if (log_writer_ == nullptr) return;
-  if (replaying_.load(std::memory_order_acquire)) return;
+  if (life_.replaying.load(std::memory_order_acquire)) return;
   // Degraded mode: the log is dead, Submit is already rejecting; batches
   // still in flight execute without durability rather than wedging.
   if (log_writer_->failed()) return;
-  log_txn_scratch_.clear();
+  seq_.log_txn_scratch.clear();
   for (const BohmTxn* txn : batch.txns) {
     if (txn->proc->codec_id() != kNotLoggable) {
-      log_txn_scratch_.push_back(txn->proc);
+      seq_.log_txn_scratch.push_back(txn->proc);
     }
   }
   std::string payload;
-  EncodeBatchPayload(&payload, log_txn_scratch_);
+  EncodeBatchPayload(&payload, seq_.log_txn_scratch);
   const uint64_t stall_ns =
-      log_writer_->Append(log_base_ + static_cast<uint64_t>(id),
+      log_writer_->Append(life_.log_base + static_cast<uint64_t>(id),
                           std::move(payload));
   if (stall_ns != 0) seq_log_stall_.ns.Inc(stall_ns);
 }
@@ -47,14 +47,14 @@ void BohmEngine::LogSealedBatch(const Batch& batch, int64_t id) {
 // pending migration (promoted later once its watermark gate opens).
 void BohmEngine::FoldTouchCounters() {
   const uint32_t parts = db_.partitions();
-  std::fill(touch_totals_.begin(), touch_totals_.end(), 0);
+  std::fill(seq_.touch_totals.begin(), seq_.touch_totals.end(), 0);
   for (const auto& st : cc_state_) {
     const RelaxedCounter* touch = st->touch.get();
     for (uint32_t p = 0; p < parts; ++p) {
-      touch_totals_[p] += touch[p].Get();
+      seq_.touch_totals[p] += touch[p].Get();
     }
   }
-  repart_->Observe(touch_totals_);
+  repart_->Observe(seq_.touch_totals);
 }
 
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
@@ -76,18 +76,19 @@ void BohmEngine::SealBatch(Batch* batch, int64_t id) {
     assert(pushed && "exec feed overflow: back-pressure invariant broken");
     (void)pushed;
   }
-  last_sealed_batch_.store(id, std::memory_order_release);
+  sealed_.last_sealed_batch.store(id, std::memory_order_release);
 }
 
-// Thread-safety: `next_batch_id_` and `next_ts_` are plain fields written
-// only by this single sequencer thread (docs/CONCURRENCY.md,
-// "single-writer ownership"); downstream stages learn about a batch solely
-// through SealBatch's release stores, which order everything the
-// sequencer wrote into the batch before them.
+// Thread-safety: `seq_` holds plain fields written only by this single
+// sequencer thread, on cache lines no other thread writes
+// (docs/CONCURRENCY.md, "single-writer ownership" and rule R9);
+// downstream stages learn about a batch solely through SealBatch's
+// release stores, which order everything the sequencer wrote into the
+// batch before them.
 void BohmEngine::SequencerLoop() {
   SpinWait wait;
   for (;;) {
-    const int64_t id = next_batch_id_;
+    const int64_t id = seq_.next_batch_id;
     // Back-pressure: batch id may enter the pipeline only once every
     // execution thread has finished batch id - depth, which also makes
     // the slot's previous occupant (id - 2 * depth) safe to overwrite
@@ -127,17 +128,19 @@ void BohmEngine::SequencerLoop() {
     // Fill the batch. Seal early when the input queue runs dry so that a
     // trickle of transactions does not wait for a full batch.
     bool stop_after = false;
+    uint64_t idle_mark = 0;  // last idle poll's clock; 0 while busy
     wait.Reset();
     while (batch->txns.size() < cfg_.batch_size) {
       InputItem item;
       if (input_.TryPop(&item)) {
         wait.Reset();
+        idle_mark = 0;
         StoredProcedure* raw = item.proc;
         if (item.owned) batch->procs.emplace_back(raw);
         const ReadWriteSet& set = raw->rwset();
         auto* txn = batch->arena.New<BohmTxn>();
         txn->proc = raw;
-        txn->ts = next_ts_++;
+        txn->ts = seq_.next_ts++;
         txn->batch_id = id;
         txn->submit_tick = item.submit_tick;
         txn->n_reads = static_cast<uint32_t>(set.reads().size());
@@ -173,10 +176,15 @@ void BohmEngine::SequencerLoop() {
       }
       // Queue empty.
       if (!batch->txns.empty()) break;  // seal a partial batch immediately
-      if (stopping_.load(std::memory_order_acquire)) {
+      if (life_.stopping.load(std::memory_order_acquire)) {
         stop_after = true;
         break;
       }
+      // Starved: idle time accrues poll to poll, so a monitor sees it
+      // while the wait is still going on. Only empty polls read the clock.
+      const uint64_t now = MonotonicNanos();
+      if (idle_mark != 0) seq_idle_.ns.Inc(now - idle_mark);
+      idle_mark = now;
       // Nothing is sequenced under this batch's map yet, so fetch it
       // again: a pending migration's gate is checked right after the
       // previous seal, when CC is still behind, and would otherwise get
@@ -189,11 +197,11 @@ void BohmEngine::SequencerLoop() {
 
     if (!batch->txns.empty()) {
       SealBatch(batch, id);
-      ++next_batch_id_;
+      ++seq_.next_batch_id;
     }
     if (stop_after) break;
   }
-  sequencer_done_.store(true, std::memory_order_release);
+  sealed_.sequencer_done.store(true, std::memory_order_release);
 }
 
 }  // namespace bohm

@@ -9,8 +9,10 @@ std::string StatsSnapshot::ToString() const {
   os << "commits=" << commits << " cc_aborts=" << cc_aborts
      << " logic_aborts=" << logic_aborts << " retries=" << retries
      << " reads=" << reads << " writes=" << writes;
-  if (seq_stall_ns != 0 || cc_stall_ns != 0 || exec_stall_ns != 0) {
+  if (seq_stall_ns != 0 || seq_idle_ns != 0 || cc_stall_ns != 0 ||
+      exec_stall_ns != 0) {
     os << " seq_stall_us=" << seq_stall_ns / 1000
+       << " seq_idle_us=" << seq_idle_ns / 1000
        << " cc_stall_us=" << cc_stall_ns / 1000
        << " exec_stall_us=" << exec_stall_ns / 1000;
   }

@@ -85,6 +85,7 @@ struct StatsSnapshot {
   /// Monotone like the counters, so a window is the snapshot difference.
   /// Zero for executor engines (they have no pipeline to stall).
   uint64_t seq_stall_ns = 0;   ///< sequencer waiting for slot reuse
+  uint64_t seq_idle_ns = 0;    ///< sequencer waiting for input, batch empty
   uint64_t cc_stall_ns = 0;    ///< CC threads waiting for sealed batches
   uint64_t exec_stall_ns = 0;  ///< exec threads waiting for feed/CC watermark
   /// Durable-log accounting (zero when durability is off). Monotone, like

@@ -32,6 +32,7 @@ BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
   // Stall attribution is monotone like the counters (zero for executor
   // engines).
   r.seq_stall_ns = after.seq_stall_ns - before.seq_stall_ns;
+  r.seq_idle_ns = after.seq_idle_ns - before.seq_idle_ns;
   r.cc_stall_ns = after.cc_stall_ns - before.cc_stall_ns;
   r.exec_stall_ns = after.exec_stall_ns - before.exec_stall_ns;
   r.log_stall_ns = after.log_stall_ns - before.log_stall_ns;

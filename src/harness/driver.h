@@ -49,8 +49,11 @@ struct BenchResult {
   /// only): wall-clock nanoseconds each stage spent waiting on another
   /// stage, summed across the stage's threads. Attributes pipeline wait
   /// to sequencer (slot-reuse back-pressure), CC (feed dry) and
-  /// execution (feed dry or CC watermark behind).
+  /// execution (feed dry or CC watermark behind). `seq_idle_ns` is the
+  /// sequencer's time starved of input with an empty batch, so a
+  /// saturated sequencer (both near 0) reads apart from a starved one.
   uint64_t seq_stall_ns = 0;
+  uint64_t seq_idle_ns = 0;
   uint64_t cc_stall_ns = 0;
   uint64_t exec_stall_ns = 0;
   /// Durable-log accounting over the window (zero with durability off):

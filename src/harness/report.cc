@@ -64,7 +64,8 @@ void WriteJson(std::FILE* f, const char* figure,
         ", \"lat_count\": %" PRIu64 ", \"lat_mean_us\": %.3f"
         ", \"p50_us\": %" PRIu64 ", \"p99_us\": %" PRIu64
         ", \"p999_us\": %" PRIu64 ", \"max_us\": %" PRIu64
-        ", \"seq_stall_us\": %.1f, \"cc_stall_us\": %.1f"
+        ", \"seq_stall_us\": %.1f, \"seq_idle_us\": %.1f"
+        ", \"cc_stall_us\": %.1f"
         ", \"exec_stall_us\": %.1f, \"log_stall_us\": %.1f"
         ", \"log_bytes\": %" PRIu64 ", \"log_records\": %" PRIu64
         ", \"fsyncs\": %" PRIu64 ", \"cc_migrations\": %" PRIu64,
@@ -72,6 +73,7 @@ void WriteJson(std::FILE* f, const char* figure,
         r.AbortRate(), r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
         r.P99Us(), r.P999Us(), r.latency_us.max(),
         static_cast<double>(r.seq_stall_ns) / 1000.0,
+        static_cast<double>(r.seq_idle_ns) / 1000.0,
         static_cast<double>(r.cc_stall_ns) / 1000.0,
         static_cast<double>(r.exec_stall_ns) / 1000.0,
         static_cast<double>(r.log_stall_ns) / 1000.0, r.log_bytes,

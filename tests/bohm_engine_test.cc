@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -429,6 +433,131 @@ TEST(BohmEngineTest, StopIsIdempotent) {
   auto engine = MakeEngine(4, BohmConfig{});
   engine->Stop();
   engine->Stop();
+}
+
+TEST(BohmEngineTest, IdleSequencerReportsIdleTime) {
+  const auto begin = std::chrono::steady_clock::now();
+  BohmEngine engine(OneTable(4), BohmConfig{});
+  ASSERT_TRUE(engine.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const StatsSnapshot s = engine.Stats();
+  const uint64_t wall_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - begin)
+          .count());
+  // Starved of input is idle, not stalled on downstream stages, and the
+  // idle time is visible while the wait is still going on.
+  EXPECT_GE(s.seq_idle_ns, 25'000'000u);
+  EXPECT_LE(s.seq_idle_ns, wall_ns);
+  EXPECT_EQ(s.seq_stall_ns, 0u);
+  engine.Stop();
+}
+
+namespace {
+/// Per-procedure counts of completed runs and destructions, kept outside
+/// the procedures so they survive them.
+struct Ledger {
+  explicit Ledger(size_t n) : ran(n), destroyed(n) {}
+  std::vector<std::atomic<uint32_t>> ran;
+  std::vector<std::atomic<uint32_t>> destroyed;
+  std::atomic<uint32_t> destroyed_before_run{0};
+};
+
+/// Touches one record as an RMW, a read or a blind write (id % 3), so the
+/// destruction lookahead meets empty set buffers too, and books its
+/// completed runs and its destruction in a Ledger.
+class CountedProcedure final : public StoredProcedure {
+ public:
+  CountedProcedure(Ledger* ledger, size_t id, Key key)
+      : ledger_(ledger), id_(id), key_(key) {
+    if (id % 3 != 2) set_.AddRead(0, key);
+    if (id % 3 != 1) set_.AddWrite(0, key);
+  }
+  ~CountedProcedure() override {
+    if (ledger_->ran[id_].load() == 0) ledger_->destroyed_before_run++;
+    ledger_->destroyed[id_]++;
+  }
+  void Run(TxnOps& ops) override {
+    uint64_t v = 0;
+    if (id_ % 3 != 2) {
+      const void* old = ops.Read(0, key_);
+      if (old != nullptr) std::memcpy(&v, old, sizeof(v));
+    }
+    if (id_ % 3 != 1) {
+      ++v;
+      std::memcpy(ops.Write(0, key_), &v, sizeof(v));
+    }
+    ledger_->ran[id_]++;
+  }
+
+ private:
+  Ledger* ledger_;
+  size_t id_;
+  Key key_;
+};
+
+/// Batches larger than the destruction lookahead through a 2-deep
+/// pipeline (a 4-slot ring), so slots are reused many times over.
+BohmConfig SmallRingConfig() {
+  BohmConfig cfg;
+  cfg.batch_size = 3 * kDestroyObjectAhead;
+  cfg.pipeline_depth = 2;
+  return cfg;
+}
+}  // namespace
+
+TEST(BohmEngineTest, OwnedProceduresDestroyedExactlyOnceAfterTheyRan) {
+  constexpr size_t kN = 3000;
+  Ledger ledger(kN);
+  {
+    auto engine = MakeEngine(64, SmallRingConfig());
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_TRUE(engine
+                      ->Submit(std::make_unique<CountedProcedure>(
+                          &ledger, i, static_cast<Key>(i % 64)))
+                      .ok());
+    }
+    engine->Stop();
+    // The batches still in the ring at Stop() keep their procedures
+    // until the engine is destroyed; every other slot was reused.
+    size_t alive = 0;
+    for (size_t i = 0; i < kN; ++i) alive += ledger.destroyed[i] == 0;
+    EXPECT_GT(alive, 0u);
+    EXPECT_LT(alive, kN);
+  }
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(ledger.ran[i], 1u) << "procedure " << i;
+    ASSERT_EQ(ledger.destroyed[i], 1u) << "procedure " << i;
+  }
+  EXPECT_EQ(ledger.destroyed_before_run, 0u);
+}
+
+TEST(BohmEngineTest, BorrowedProceduresAreNeverDestroyed) {
+  // Odd ids are borrowed, even ids owned, interleaved in the same batches.
+  constexpr size_t kN = 1000;
+  Ledger ledger(kN);
+  std::vector<std::unique_ptr<CountedProcedure>> borrowed;
+  {
+    auto engine = MakeEngine(64, SmallRingConfig());
+    for (size_t i = 0; i < kN; ++i) {
+      auto proc = std::make_unique<CountedProcedure>(
+          &ledger, i, static_cast<Key>(i % 64));
+      if (i % 2 == 1) {
+        ASSERT_TRUE(engine->SubmitBorrowed(proc.get()).ok());
+        borrowed.push_back(std::move(proc));
+      } else {
+        ASSERT_TRUE(engine->Submit(std::move(proc)).ok());
+      }
+    }
+    engine->Stop();
+  }
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(ledger.ran[i], 1u) << "procedure " << i;
+    ASSERT_EQ(ledger.destroyed[i], i % 2 == 0 ? 1u : 0u) << "procedure " << i;
+  }
+  borrowed.clear();
+  for (size_t i = 1; i < kN; i += 2) ASSERT_EQ(ledger.destroyed[i], 1u);
+  EXPECT_EQ(ledger.destroyed_before_run, 0u);
 }
 
 }  // namespace
