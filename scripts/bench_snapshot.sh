@@ -15,7 +15,7 @@ if [[ ! -x "$bin" ]]; then
   exit 1
 fi
 
-for fig in fig5_ycsb_10rmw fig7_theta_sweep abl_durability fig11_hotspot; do
+for fig in fig5_ycsb_10rmw fig7_theta_sweep abl_durability; do
   "$bin" "$fig" --json "$root/BENCH_$fig.json"
 done
 echo "Snapshots written. Review and commit the BENCH_*.json diffs."

@@ -57,22 +57,11 @@ struct Batch {
   std::vector<ProcedurePtr> procs;
   /// Holds the BohmTxn objects and their read/write ref arrays.
   Arena arena{1u << 16};
-  /// Partition-map stamp (adaptive CC repartitioning, rule R7): the epoch
-  /// and owner array (partition -> CC thread) this batch was sequenced
-  /// under. Written by the sequencer before the feed push (plain stores
-  /// riding the R5 release edge); CC threads route every read/write-set
-  /// element by owners[PartitionOf(key)]. The pointed-to array outlives
-  /// the batch: map versions are retired only after the execution
-  /// watermark passes their last stamped batch.
-  uint64_t part_epoch = 0;
-  const uint32_t* owners = nullptr;
 
   void ResetForReuse() {
     txns.clear();
     DestroyProcs();
     arena.Reset();
-    part_epoch = 0;
-    owners = nullptr;
   }
 
   /// Destroys the owned procedures of the slot's previous generation.

@@ -2,13 +2,12 @@
 //
 // Every CC thread walks every batch in log order and, for each
 // transaction, processes exactly those read/write-set elements whose
-// physical partition (static hash of the key) it currently owns under
-// the batch's partition map (identity when adaptive repartitioning is
-// off). The decision is purely thread-local; two CC threads never touch
-// the same record inside one map epoch, and epoch handoff is ordered by
-// the watermark/feed edges (rule R7), so version insertion needs no
-// synchronization. The only cross-thread
-// coordination is one release store per batch: each thread advances its
+// physical partition (static hash of the key) is its own:
+// PartitionOf(key) == cc_id. The decision is purely thread-local and the
+// assignment never changes, so two CC threads never touch the same
+// record and version insertion needs no synchronization. The only
+// cross-thread coordination is one release store per batch: each thread
+// advances its
 // own cc_watermark_ slot when its partition slice is done and streams
 // straight into the next batch — it never waits for its peers. The
 // execution stage folds min(cc_watermark) to admit batches, so a thread
@@ -80,23 +79,17 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
 
 namespace {
 
-/// Calls f(table, partition, key, is_write) for every read- and write-set
-/// element of `txn` in a partition `cc_id` owns under `owners`.
+/// Calls f(table, key) for every read- and write-set element of `txn` in
+/// partition `cc_id`, the one this thread owns.
 template <typename F>
 void ForOwnedElements(const BohmDatabase& db, const BohmTxn& txn,
-                      const uint32_t* owners, uint32_t cc_id, F&& f) {
-  for (uint32_t i = 0; i < txn.n_reads; ++i) {
-    const RecordId& rec = txn.reads[i].rec;
+                      uint32_t cc_id, F&& f) {
+  auto visit = [&](const RecordId& rec) {
     BohmTable* table = db.table(rec.table);
-    const uint32_t part = table->PartitionOf(rec.key);
-    if (owners[part] == cc_id) f(table, part, rec.key, false);
-  }
-  for (uint32_t i = 0; i < txn.n_writes; ++i) {
-    const RecordId& rec = txn.writes[i].rec;
-    BohmTable* table = db.table(rec.table);
-    const uint32_t part = table->PartitionOf(rec.key);
-    if (owners[part] == cc_id) f(table, part, rec.key, true);
-  }
+    if (table->PartitionOf(rec.key) == cc_id) f(table, rec.key);
+  };
+  for (uint32_t i = 0; i < txn.n_reads; ++i) visit(txn.reads[i].rec);
+  for (uint32_t i = 0; i < txn.n_writes; ++i) visit(txn.writes[i].rec);
 }
 
 /// Allocations ahead of use at which CcProcessTxn<true> prefetches the
@@ -107,19 +100,18 @@ constexpr size_t kRecycleAhead = 8;
 
 // Memory-level parallelism for large tables (docs/ARCHITECTURE.md). Each
 // index touch of the plain loop is a dependent DRAM miss: bucket slot ->
-// entry -> head version, and a free-list version to re-initialize per
-// write. The batch is fixed and its footprint declared, so the misses of
-// later transactions can be started early, AMAC-style (Kocberber et al.,
-// PVLDB 2015), in three stages, each one transaction behind the previous:
-// while transaction i is processed, i+1 gets its head versions
-// prefetched (its entries arrived during stage 2), i+2 its entries (its
-// bucket slots arrived during stage 1), and i+3 its bucket slots. Every
-// stage touches only partitions this thread owns under the batch's map
-// (rule R8).
+// entry, and a free-list version to re-initialize per write. The batch is
+// fixed and its footprint declared, so the misses of later transactions
+// can be started early, AMAC-style (Kocberber et al., PVLDB 2015), in two
+// stages, each one transaction behind the previous: while transaction i
+// is processed, i+1 gets its entries prefetched (its bucket slots arrived
+// during stage 1) and i+2 its bucket slots. The superseded head version
+// itself is never read (CC only links and retires its pointer), so it is
+// not prefetched. Every stage touches only this thread's partition (rule
+// R8).
 void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch,
                                    int64_t b) {
   CcState& st = *cc_state_[cc_id];
-  const uint32_t* owners = batch.owners;
   const uint64_t my_bit = 1ull << cc_id;
   std::vector<BohmTxn*>& mine = st.mine;
   mine.clear();
@@ -127,43 +119,25 @@ void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch,
     if ((txn->cc_interest & my_bit) != 0) mine.push_back(txn);
   }
   const size_t n = mine.size();
-  for (size_t i = 0; i < n + 3; ++i) {
+  for (size_t i = 0; i < n + 2; ++i) {
     if (i < n) {
-      ForOwnedElements(db_, *mine[i], owners, cc_id,
-                       [](BohmTable* t, uint32_t part, Key key, bool) {
-                         t->PrefetchBucket(part, key);
-                       });
+      ForOwnedElements(db_, *mine[i], cc_id, [cc_id](BohmTable* t, Key key) {
+        t->PrefetchBucket(cc_id, key);
+      });
     }
     if (i >= 1 && i - 1 < n) {
-      ForOwnedElements(db_, *mine[i - 1], owners, cc_id,
-                       [](BohmTable* t, uint32_t part, Key key, bool) {
-                         t->PrefetchEntry(part, key);
+      ForOwnedElements(db_, *mine[i - 1], cc_id,
+                       [cc_id](BohmTable* t, Key key) {
+                         t->PrefetchEntry(cc_id, key);
                        });
     }
-    if (i >= 2 && i - 2 < n) {
-      // A write reads the head version it supersedes (GC reads its
-      // allocator stamp); a read only copies the head pointer.
-      ForOwnedElements(db_, *mine[i - 2], owners, cc_id,
-                       [](BohmTable* t, uint32_t part, Key key, bool write) {
-                         if (write) t->PrefetchHead(part, key);
-                       });
-    }
-    if (i >= 3) CcProcessTxn<true>(cc_id, mine[i - 3], b);
+    if (i >= 2) CcProcessTxn<true>(cc_id, mine[i - 2], b);
   }
 }
 
 template <bool kPrefetch>
 void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   CcState& st = *cc_state_[cc_id];
-  // Route by the batch's partition map, not by thread id: the physical
-  // partition (static hash) selects the index shard, the map says whether
-  // this thread currently owns it (rule R7). With adaptive off the map is
-  // the identity, reproducing the original PartitionOf(key) == cc_id
-  // routing. The owners array was published by the feed push (rule R5)
-  // and stays alive until the batch is fully executed.
-  const Batch* batch = ring_.Slot(batch_id);
-  const uint32_t* owners = batch->owners;
-  RelaxedCounter* touch = st.touch.get();
 
   // Reads first: the annotation must reference the version that precedes
   // any placeholder this same transaction inserts (RMW reads observe the
@@ -173,15 +147,12 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   for (uint32_t i = 0; i < txn->n_reads; ++i) {
     ReadRef& r = txn->reads[i];
     BohmTable* table = db_.table(r.rec.table);
-    const uint32_t part = table->PartitionOf(r.rec.key);
-    if (owners[part] != cc_id) continue;
-    if (touch != nullptr) touch[part].Inc();
-    BohmIndexEntry* entry = table->Find(part, r.rec.key);
-    // relaxed: this CC thread is the current single writer of heads in
-    // the partitions it owns (ownership handoff itself rides the
-    // watermark/feed release-acquire edges, rule R7), so it reads back
-    // the latest store; cross-thread visibility of the annotation itself
-    // rides the cc_watermark_ release/acquire edge (rule R5).
+    if (table->PartitionOf(r.rec.key) != cc_id) continue;
+    BohmIndexEntry* entry = table->Find(cc_id, r.rec.key);
+    // relaxed: this CC thread is the only writer of heads in its
+    // partition, so it reads back the latest store; cross-thread
+    // visibility of the annotation itself rides the cc_watermark_
+    // release/acquire edge (rule R5).
     r.version = entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
   }
 
@@ -194,32 +165,29 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   for (uint32_t i = 0; i < txn->n_writes; ++i) {
     WriteRef& w = txn->writes[i];
     BohmTable* table = db_.table(w.rec.table);
-    const uint32_t part = table->PartitionOf(w.rec.key);
-    if (owners[part] != cc_id) continue;
-    if (touch != nullptr) touch[part].Inc();
+    if (table->PartitionOf(w.rec.key) != cc_id) continue;
 
     if constexpr (kPrefetch) {
       st.alloc.PrefetchRecycled(w.rec.table, kRecycleAhead);
     }
     Version* v = st.alloc.Alloc(w.rec.table, record_sizes_[w.rec.table]);
     v->producer = txn;  // prev stays nullptr from Alloc until linked below
-    st.versions_created.Inc();
 
     bool inserted = false;
-    BohmIndexEntry* entry = table->GetOrInsert(part, w.rec.key, v, &inserted);
+    BohmIndexEntry* entry =
+        table->GetOrInsert(cc_id, w.rec.key, v, &inserted);
     if (!inserted) {
-      // relaxed: this CC thread is the current single writer of this
-      // record's head (single ownership at any moment; handoff rides the
-      // R7 edges, so the previous owner's stores are visible), and
-      // readers synchronize via the release below (or the entry
+      // relaxed: this CC thread is the only writer of this record's head,
+      // and readers synchronize via the release below (or the entry
       // publication).
       Version* old = entry->head.load(std::memory_order_relaxed);
       v->prev = old;
       // Queue the superseded version for collection once every execution
-      // thread has finished this batch. Nothing is written to it: this
-      // transaction's place in the order is producer->ts.
+      // thread has finished this batch (src/bohm/gc.cc). Nothing is
+      // written to it: this transaction's place in the order is
+      // producer->ts.
       if (old != nullptr && cfg_.gc_enabled) {
-        RetireVersion(cc_id, old, batch_id);
+        st.retired.emplace_back(old, batch_id);
       }
       entry->head.store(v, std::memory_order_release);
     }

@@ -12,18 +12,6 @@ namespace bohm {
 
 namespace {
 
-/// Physical partitions per table. Static assignment: one per CC thread.
-/// Adaptive: many more than cc_threads so whole partitions can migrate at
-/// useful granularity (auto = 8 per thread, floor 128, cap 1024).
-uint32_t EffectivePartitions(const BohmConfig& cfg) {
-  if (!cfg.adaptive.enabled) return cfg.cc_threads;
-  if (cfg.adaptive.partitions != 0) return cfg.adaptive.partitions;
-  uint64_t p = NextPow2(static_cast<uint64_t>(cfg.cc_threads) * 8);
-  if (p < 128) p = 128;
-  if (p > 1024) p = 1024;
-  return static_cast<uint32_t>(p);
-}
-
 /// Largest version-arena block: a big footprint is carved in several
 /// blocks rather than one mapping of its full size.
 constexpr uint64_t kMaxVersionBlockBytes = uint64_t{64} << 20;
@@ -38,20 +26,17 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
         if (cfg.batch_size == 0) cfg.batch_size = 1;
         if (cfg.pipeline_depth < 1) cfg.pipeline_depth = 1;
         if (cfg.max_dependency_depth == 0) cfg.max_dependency_depth = 1;
-        if (cfg.adaptive.interval_batches == 0) cfg.adaptive.interval_batches = 1;
-        if (cfg.adaptive.max_imbalance < 1.0) cfg.adaptive.max_imbalance = 1.0;
         return cfg;
       }()),
-      db_(catalog_, EffectivePartitions(cfg_)),
-      repart_(std::make_unique<RepartitionController>(
-          db_.partitions(), cfg_.cc_threads, cfg_.adaptive)),
+      // One physical partition of every table per CC thread (Section
+      // 3.2.2): CC thread i owns exactly the keys with PartitionOf == i.
+      db_(catalog_, cfg_.cc_threads),
       ring_(cfg_.pipeline_depth),
       input_(NextPow2(cfg_.input_queue_capacity < 2 ? 2
                                                     : cfg_.input_queue_capacity)),
       cc_watermark_(cfg_.cc_threads),
       exec_watermark_(cfg_.exec_threads),
       stats_(cfg_.exec_threads) {
-  seq_.touch_totals.assign(db_.partitions(), 0);
   record_sizes_.resize(catalog_.MaxTableId(), 0);
   // Version arenas of an engine with large tables take huge-page blocks
   // sized from each CC thread's share of the large tables' declared
@@ -75,17 +60,6 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
     cc_state_.push_back(
         std::make_unique<CcState>(version_block, huge_versions));
-    cc_state_.back()->alloc.set_owner(i);
-    if (cfg_.adaptive.enabled) {
-      cc_state_.back()->touch =
-          std::make_unique<RelaxedCounter[]>(db_.partitions());
-      // Handback ring for versions this thread allocated but a later
-      // owner of the partition retires. Sized for the transient after a
-      // migration (one foreign retiree per migrated record on its first
-      // supersede); producers spill locally and retry when full.
-      cc_state_.back()->handback =
-          std::make_unique<MpmcQueue<std::pair<Version*, int64_t>>>(1024);
-    }
     cc_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     cc_stall_.push_back(std::make_unique<StallSlot>());
   }
@@ -119,11 +93,9 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
   if (t->Find(part, key) != nullptr) {
     return Status::InvalidArgument("duplicate key in load");
   }
-  // Allocate from the partition's *initial owner* so the allocator stamp
-  // matches the thread that would have created the version (GC hands
-  // retirees back to the allocating thread's free lists).
-  const uint32_t owner = repart_->current()->owners[part];
-  Version* v = cc_state_[owner]->alloc.Alloc(table, record_sizes_[table]);
+  // Allocate from the partition's owner: the CC thread that supersedes
+  // this version later retires it into the free lists it came from.
+  Version* v = cc_state_[part]->alloc.Alloc(table, record_sizes_[table]);
   if (payload != nullptr) {
     std::memcpy(v->data(), payload, record_sizes_[table]);
   } else {
@@ -138,19 +110,12 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
 }
 
 Status BohmEngine::Start() {
-  // The cc_interest mask on BohmTxn is 64 bits, one per CC *thread*
-  // (owner bits, not partition bits — partition counts above 64 are fine
-  // because the sequencer masks by owners[PartitionOf(key)]). A config
-  // that would shift past the mask width is rejected instead of silently
-  // computing undefined behavior.
+  // The cc_interest mask on BohmTxn is 64 bits, one per CC thread. A
+  // config that would shift past the mask width is rejected instead of
+  // silently computing undefined behavior.
   if (cfg_.cc_threads > 64) {
     return Status::InvalidArgument(
         "cc_threads must be <= 64 (the cc_interest mask is 64 bits wide)");
-  }
-  if (cfg_.adaptive.enabled && db_.partitions() < cfg_.cc_threads) {
-    return Status::InvalidArgument(
-        "adaptive.partitions must be >= cc_threads (every CC thread needs "
-        "at least one partition to own)");
   }
   if (cfg_.durability.enabled && !recovered_) {
     // A pre-existing log means there is committed history on disk.
@@ -338,8 +303,6 @@ StatsSnapshot BohmEngine::Stats() const {
     s.log_records = log_writer_->records();
     s.log_fsyncs = log_writer_->fsyncs();
   }
-  s.cc_migrations = repart_->migrations();
-  s.cc_imbalance_x1000 = repart_->imbalance_x1000();
   return s;
 }
 

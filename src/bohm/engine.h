@@ -6,14 +6,13 @@
 //      --> sequencer thread: totally orders transactions; timestamp =
 //          position in the log; accumulates batches (Sections 3.2.1, 3.2.4)
 //      --> m concurrency-control threads: each walks every batch and
-//          processes exactly the physical partitions the batch's
-//          partition map assigns to it (static per thread unless
-//          adaptive repartitioning is on; bohm/repartition.h) — inserts
-//          uninitialized version placeholders for writes and annotates
-//          reads with version references (Sections 3.2.2, 3.2.3); each
-//          thread advances its own epoch watermark per batch instead of
-//          parking at a per-batch barrier (Section 3.2.4), so CC threads
-//          stream into batch b+1 while slower ones are still in b
+//          processes exactly the records of its own static hash
+//          partition — inserts uninitialized version placeholders for
+//          writes and annotates reads with version references (Sections
+//          3.2.2, 3.2.3); each thread advances its own epoch watermark
+//          per batch instead of parking at a per-batch barrier (Section
+//          3.2.4), so CC threads stream into batch b+1 while slower ones
+//          are still in b
 //      --> n execution threads: start batch b once min(cc_watermark) >= b,
 //          stripe transactions among themselves, evaluate transaction
 //          logic filling the placeholders, recursively evaluating
@@ -46,7 +45,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "bohm/batch.h"
-#include "bohm/repartition.h"
 #include "bohm/table.h"
 #include "bohm/txn_state.h"
 #include "bohm/version.h"
@@ -87,12 +85,12 @@ struct RecoveryStats {
 };
 
 struct BohmConfig {
-  /// m: concurrency-control threads (each owns the physical hash
-  /// partitions the partition map assigns to it; exactly one per thread
-  /// unless `adaptive` is enabled). At most 64: the sequencer's
-  /// pre-processing (Section 3.2.2) marks each transaction with a 64-bit
-  /// mask of the CC threads it has work for, and Start() rejects wider
-  /// configs (InvalidArgument) rather than compute an undefined shift.
+  /// m: concurrency-control threads (each owns one physical hash
+  /// partition of every table, PartitionOf(key) == its id). At most 64:
+  /// the sequencer's pre-processing (Section 3.2.2) marks each transaction
+  /// with a 64-bit mask of the CC threads it has work for, and Start()
+  /// rejects wider configs (InvalidArgument) rather than compute an
+  /// undefined shift.
   uint32_t cc_threads = 2;
   /// n: transaction-execution threads.
   uint32_t exec_threads = 2;
@@ -114,12 +112,6 @@ struct BohmConfig {
   /// and are retried by the responsible thread (keeps stacks bounded under
   /// adversarial hot-key RMW chains).
   uint32_t max_dependency_depth = 64;
-  /// Adaptive CC repartitioning (src/bohm/repartition.h): decouple the
-  /// physical index partition from the owning CC thread and migrate hot
-  /// partitions between threads at batch boundaries. Off by default; when
-  /// off the engine uses the original static one-partition-per-thread
-  /// assignment (routed through an identity map).
-  AdaptiveCcConfig adaptive;
   /// Durable sequencer log + crash recovery (docs/DURABILITY.md).
   DurabilityConfig durability;
 };
@@ -246,17 +238,6 @@ class BohmEngine {
     return cc_state_[cc_id]->alloc.arena();
   }
 
-  /// Physical partitions per table (== cc_threads unless adaptive
-  /// repartitioning is enabled).
-  uint32_t partition_count() const { return db_.partitions(); }
-  /// Partitions migrated between CC threads so far (monotone; 0 with
-  /// adaptive repartitioning off).
-  uint64_t cc_migrations() const { return repart_->migrations(); }
-  /// Epoch of the currently promoted partition map (0 = initial).
-  uint64_t partition_map_epoch() const { return repart_->epoch(); }
-  /// Last folded max/mean CC-thread load ratio x1000 (1000 = balanced).
-  uint64_t cc_imbalance_x1000() const { return repart_->imbalance_x1000(); }
-
   /// Reads the committed value of a record as of "now" (after
   /// WaitForIdle). Test/example helper; not part of the transactional
   /// path. Returns NotFound when absent.
@@ -274,21 +255,6 @@ class BohmEngine {
     std::vector<BohmTxn*> mine;
     std::deque<std::pair<Version*, int64_t>> retired;  // (version, batch)
     RelaxedCounter freed;
-    RelaxedCounter versions_created;
-    /// Per-partition touch counters (adaptive repartitioning only, else
-    /// null). Single-writer: at any moment each partition has exactly one
-    /// owner, and ownership handoff rides the watermark/feed edges, so a
-    /// slot never has two concurrent writers. The sequencer folds them
-    /// between batches.
-    std::unique_ptr<RelaxedCounter[]> touch;
-    /// Retirees allocated by this thread but retired by another (the
-    /// partition migrated in between): producers TryPush here, the owner
-    /// drains into `retired`. Null when adaptive is off — the allocator
-    /// and retirer then always coincide.
-    std::unique_ptr<MpmcQueue<std::pair<Version*, int64_t>>> handback;
-    /// Producer-side spill when a handback ring is momentarily full;
-    /// retried on this thread's next DrainRetired (never blocks CC).
-    std::deque<std::pair<Version*, int64_t>> handback_spill;
   };
   /// Single-writer wall-clock stall accumulator, one per pipeline thread
   /// (padded so stall accounting never shares a line across threads).
@@ -299,10 +265,6 @@ class BohmEngine {
   // --- sequencer stage (sequencer.cc) ---
   void SequencerLoop();
   void SealBatch(Batch* batch, int64_t id);
-  /// Folds the per-thread per-partition touch counters into
-  /// seq_.touch_totals and feeds them to the repartition controller
-  /// (sequencer thread only; adaptive repartitioning only).
-  void FoldTouchCounters();
   /// Encodes + hands the sealed batch to the log writer (sequencer thread
   /// only; no-op while replaying).
   void LogSealedBatch(const Batch& batch, int64_t id);
@@ -335,7 +297,6 @@ class BohmEngine {
 
   // --- garbage collection (gc.cc) ---
   void DrainRetired(uint32_t cc_id);
-  void RetireVersion(uint32_t cc_id, Version* v, int64_t batch_id);
 
   uint64_t CompletedCount() const;
 
@@ -349,10 +310,6 @@ class BohmEngine {
   Catalog catalog_;
   BohmConfig cfg_;
   BohmDatabase db_;
-  /// Partition -> owner-thread map machinery (always present; an identity
-  /// map that never migrates when adaptive is off). Mutated only by the
-  /// sequencer; monitors are release-published.
-  std::unique_ptr<RepartitionController> repart_;
   std::vector<uint32_t> record_sizes_;  // by table id
   /// Some table is large (IsLargeTable): CC and exec prefetch each
   /// admitted batch's footprint, and version arenas use huge pages. Fixed
@@ -405,8 +362,6 @@ class BohmEngine {
   struct alignas(kCacheLineSize) SequencerLine {
     uint64_t next_ts = 1;
     int64_t next_batch_id = 0;
-    /// Scratch for the per-partition touch-counter fold.
-    std::vector<uint64_t> touch_totals;
     /// Scratch for batch payload encoding.
     std::vector<const StoredProcedure*> log_txn_scratch;
   };

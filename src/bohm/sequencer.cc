@@ -4,7 +4,6 @@
 // single-writer operation, in contrast to the global fetch-and-increment
 // counters of conventional multi-version systems (Section 2.1).
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -40,21 +39,6 @@ void BohmEngine::LogSealedBatch(const Batch& batch, int64_t id) {
       log_writer_->Append(life_.log_base + static_cast<uint64_t>(id),
                           std::move(payload));
   if (stall_ns != 0) seq_log_stall_.ns.Inc(stall_ns);
-}
-
-// Folds the cumulative per-partition touch counters across CC threads
-// and hands them to the repartition controller, which may stage a
-// pending migration (promoted later once its watermark gate opens).
-void BohmEngine::FoldTouchCounters() {
-  const uint32_t parts = db_.partitions();
-  std::fill(seq_.touch_totals.begin(), seq_.touch_totals.end(), 0);
-  for (const auto& st : cc_state_) {
-    const RelaxedCounter* touch = st->touch.get();
-    for (uint32_t p = 0; p < parts; ++p) {
-      seq_.touch_totals[p] += touch[p].Get();
-    }
-  }
-  repart_->Observe(seq_.touch_totals);
 }
 
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
@@ -105,26 +89,6 @@ void BohmEngine::SequencerLoop() {
     }
     batch->ResetForReuse();
 
-    // Adaptive repartitioning (rule R7): at the fold cadence, read the
-    // touch counters and maybe stage a migration; then fetch the map this
-    // batch will be sequenced under (promoting a gated pending map once
-    // every source thread's cc watermark has passed id - 1). Also retire
-    // map versions no in-flight batch can still reference.
-    if (cfg_.adaptive.enabled && id > 0 &&
-        id % static_cast<int64_t>(cfg_.adaptive.interval_batches) == 0) {
-      FoldTouchCounters();
-    }
-    const uint32_t* owners = nullptr;
-    auto stamp_map = [&] {
-      const PartitionMapVersion* pmap =
-          repart_->MapForBatch(id, cc_watermark_);
-      owners = pmap->owners.data();
-      batch->part_epoch = pmap->epoch;
-      batch->owners = owners;
-    };
-    stamp_map();
-    repart_->Prune(Watermark());
-
     // Fill the batch. Seal early when the input queue runs dry so that a
     // trickle of transactions does not wait for a full batch.
     bool stop_after = false;
@@ -145,13 +109,12 @@ void BohmEngine::SequencerLoop() {
         txn->submit_tick = item.submit_tick;
         txn->n_reads = static_cast<uint32_t>(set.reads().size());
         txn->n_writes = static_cast<uint32_t>(set.writes().size());
-        // Pre-processing (Section 3.2.2): mark which CC *threads* this
-        // transaction has work for, under this batch's partition map, so
-        // CC threads skip it wholesale. Owner ids are < cc_threads <= 64
-        // (Start() validates), so the shift is always defined — partition
-        // counts above 64 are fine.
+        // Pre-processing (Section 3.2.2): mark which CC threads this
+        // transaction has work for, so CC threads skip it wholesale.
+        // Partition ids are < cc_threads <= 64 (Start() validates), so the
+        // shift is always defined.
         auto owner_bit = [&](const RecordId& rec) {
-          return 1ull << owners[db_.table(rec.table)->PartitionOf(rec.key)];
+          return 1ull << db_.table(rec.table)->PartitionOf(rec.key);
         };
         uint64_t mask = 0;
         if (txn->n_reads > 0) {
@@ -185,13 +148,6 @@ void BohmEngine::SequencerLoop() {
       const uint64_t now = MonotonicNanos();
       if (idle_mark != 0) seq_idle_.ns.Inc(now - idle_mark);
       idle_mark = now;
-      // Nothing is sequenced under this batch's map yet, so fetch it
-      // again: a pending migration's gate is checked right after the
-      // previous seal, when CC is still behind, and would otherwise get
-      // another chance only at the next batch boundary — which a
-      // sequencer that keeps running ahead of CC may never reach with
-      // the gate open.
-      stamp_map();
       wait.Pause();
     }
 

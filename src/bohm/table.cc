@@ -5,8 +5,8 @@ namespace bohm {
 namespace {
 
 /// A large table's per-partition structure goes on a huge-page block when
-/// it fills at least one huge page; smaller ones (many adaptive
-/// partitions) would waste most of each 2 MiB page.
+/// it fills at least one huge page; smaller ones (a large table split
+/// across many CC threads) would waste most of each 2 MiB page.
 bool UseHugeBlock(bool large, uint64_t bytes) {
   return large && bytes >= kHugePageBytes;
 }

@@ -3,12 +3,10 @@
 //
 // Ownership discipline is the heart of the design: a record's index entry
 // and head pointer are only ever *written* by the single CC thread that
-// owns the partition the record hashes to. The hash is static; the
-// partition -> thread assignment is the epoch-versioned map in
-// bohm/repartition.h (identity when adaptive mode is off), and it only
-// changes *between* batches, so within any batch every index mutation is
-// uncontended by construction. Execution
-// threads *read* entries concurrently ("readers need only spin on
+// owns the partition the record hashes to. Both the hash and the
+// partition -> thread assignment (partition i belongs to CC thread i) are
+// static, so every index mutation is uncontended by construction.
+// Execution threads *read* entries concurrently ("readers need only spin on
 // inconsistent or stale data", Section 3.3.1): entries are published into
 // bucket chains with release stores and never removed, so a reader either
 // sees a fully-initialized entry or does not see it yet.
@@ -69,8 +67,8 @@ class BohmTable {
   /// IsLargeTable(spec()): index memory is on huge-page blocks.
   bool large() const { return large_; }
 
-  /// Physical partition of a key (static hash; the owning CC thread is
-  /// the current partition map's assignment for this partition).
+  /// Physical partition of a key (static hash), which is also the id of
+  /// the CC thread that owns it.
   uint32_t PartitionOf(Key key) const {
     return static_cast<uint32_t>(HashKey(key) % parts_.size());
   }
@@ -110,15 +108,6 @@ class BohmTable {
     const BohmIndexEntry* e =
         p.chains[BucketHash(key) & p.mask].load(std::memory_order_relaxed);
     if (e != nullptr) PrefetchRead(e);
-  }
-
-  /// CC lookahead, stage 3: prefetch the head version of `key`'s entry
-  /// (its entry arrived during stage 2). Owner thread of `partition` only.
-  void PrefetchHead(uint32_t partition, Key key) const {
-    const BohmIndexEntry* e = Find(partition, key);
-    // relaxed: the partition's single writer reads back its own head
-    // stores (rule R7); the value only picks a prefetch address.
-    if (e != nullptr) PrefetchRead(e->head.load(std::memory_order_relaxed));
   }
 
   /// Number of entries in a partition (test hook; owner thread only).

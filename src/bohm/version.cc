@@ -14,13 +14,11 @@ Version* VersionAllocator::Alloc(TableId table, uint32_t record_size) {
     v->producer = nullptr;
     v->prev = nullptr;
     v->table = table;
-    v->allocator = owner_;
     return v;
   }
   void* mem = arena_.Allocate(sizeof(Version) + record_size, alignof(Version));
   Version* v = new (mem) Version();
   v->table = table;
-  v->allocator = owner_;
   return v;
 }
 

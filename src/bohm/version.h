@@ -38,12 +38,6 @@ struct Version {
   std::atomic<uint32_t> flags{0};
   /// Table the version belongs to; selects the allocator size class.
   TableId table = 0;
-  /// CC thread whose VersionAllocator produced this version. With
-  /// adaptive repartitioning the retiring thread may differ from the
-  /// allocating one (the partition migrated in between); GC routes the
-  /// retiree back to this thread's free lists (src/bohm/gc.cc). Stamped
-  /// by Alloc, immutable afterwards.
-  uint32_t allocator = 0;
   /// The transaction that must be evaluated to obtain the data
   /// (Figure 3's "Txn Pointer"); nullptr for loaded versions.
   BohmTxn* producer = nullptr;
@@ -62,6 +56,10 @@ struct Version {
   }
 };
 
+/// The header is paid once per version of every record: {flags, table}
+/// share one word, then the two pointers.
+static_assert(sizeof(Version) == 24);
+
 /// Thread-local version allocator with one free list per table (versions
 /// are fixed-size per table). The GC (Section 3.3.2) recycles versions
 /// through these free lists, so steady-state version turnover performs no
@@ -76,11 +74,6 @@ class VersionAllocator {
       bool huge_pages = false)
       : arena_(arena_block_bytes, huge_pages) {}
   BOHM_DISALLOW_COPY_AND_ASSIGN(VersionAllocator);
-
-  /// Id of the CC thread that owns this allocator, stamped into every
-  /// version it produces (Version::allocator). Set once at engine
-  /// construction, before any Alloc.
-  void set_owner(uint32_t owner) { owner_ = owner; }
 
   /// Allocates a version with `record_size` payload bytes for `table`.
   Version* Alloc(TableId table, uint32_t record_size);
@@ -106,7 +99,6 @@ class VersionAllocator {
 
  private:
   Arena arena_;
-  uint32_t owner_ = 0;
   std::vector<std::vector<Version*>> free_lists_;  // indexed by table id
 };
 

@@ -68,13 +68,6 @@ class Histogram {
     return max_;
   }
 
-  void Reset() {
-    buckets_.fill(0);
-    count_ = 0;
-    total_ = 0;
-    max_ = 0;
-  }
-
   /// Bucket-wise difference `later - earlier`, for windowed measurements
   /// over monotonically growing histograms: `earlier` must be a snapshot
   /// of the same histogram taken before `later` (every bucket count and
@@ -170,17 +163,6 @@ class AtomicHistogram {
       // relaxed: same monotone-snapshot reasoning as total_ above.
       out->buckets_[i] += buckets_[i].load(std::memory_order_relaxed);
     }
-  }
-
-  /// Writer-side (or quiescent) reset only, like RelaxedCounter::Reset.
-  void Reset() {
-    // relaxed: quiescent-only operation by contract (no concurrent
-    // Record/MergeInto); the final release store below publishes the
-    // whole reset to whoever observes the histogram next.
-    count_.store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-    for (auto& b : buckets_) b.store(0, std::memory_order_release);
   }
 
  private:

@@ -46,17 +46,4 @@ uint64_t StatsRegistry::FoldCompleted() const {
   return out;
 }
 
-void StatsRegistry::Reset() {
-  for (uint32_t i = 0; i < threads_; ++i) {
-    ThreadStats& s = slices_[i];
-    s.commits.Reset();
-    s.cc_aborts.Reset();
-    s.logic_aborts.Reset();
-    s.retries.Reset();
-    s.reads.Reset();
-    s.writes.Reset();
-    s.latency_us.Reset();
-  }
-}
-
 }  // namespace bohm

@@ -44,7 +44,6 @@ class RelaxedCounter {
              std::memory_order_release);
   }
   uint64_t Get() const { return v_.load(std::memory_order_acquire); }
-  void Reset() { v_.store(0, std::memory_order_release); }
 
  private:
   std::atomic<uint64_t> v_{0};
@@ -95,13 +94,6 @@ struct StatsSnapshot {
   uint64_t log_bytes = 0;     ///< bytes appended to the log
   uint64_t log_records = 0;   ///< batch records appended
   uint64_t log_fsyncs = 0;    ///< fsync calls issued by the log writer
-  /// Adaptive CC repartitioning (zero for non-Bohm engines and with the
-  /// feature off). Migrations are monotone like the counters; the
-  /// imbalance is a gauge — the last folded max/mean CC-thread load
-  /// ratio x1000 (1000 = perfectly balanced, 0 = not measured), NOT
-  /// windowable by delta.
-  uint64_t cc_migrations = 0;
-  uint64_t cc_imbalance_x1000 = 0;
 
   double AbortRate() const {
     uint64_t attempts = commits + cc_aborts;
@@ -126,7 +118,6 @@ class StatsRegistry {
   /// Sum of commits + logic_aborts only. Cheap enough for poll loops
   /// (WaitForIdle); Fold() additionally snapshots the latency histograms.
   uint64_t FoldCompleted() const;
-  void Reset();
 
  private:
   uint32_t threads_;

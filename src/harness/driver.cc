@@ -39,10 +39,6 @@ BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
   r.log_bytes = after.log_bytes - before.log_bytes;
   r.log_records = after.log_records - before.log_records;
   r.log_fsyncs = after.log_fsyncs - before.log_fsyncs;
-  r.cc_migrations = after.cc_migrations - before.cc_migrations;
-  // Imbalance is a gauge, not a counter: report the window's closing
-  // reading.
-  r.cc_imbalance_x1000 = after.cc_imbalance_x1000;
   return r;
 }
 

@@ -64,13 +64,6 @@ struct BenchResult {
   uint64_t log_bytes = 0;
   uint64_t log_records = 0;
   uint64_t log_fsyncs = 0;
-  /// Adaptive CC repartitioning over the window: partitions migrated
-  /// between CC threads (snapshot delta) and the closing snapshot's
-  /// max/mean CC-thread load ratio x1000 (a gauge — 1000 = balanced).
-  /// Zero for executor engines and with the feature off: the gauge reads
-  /// 0 when nothing measured it.
-  uint64_t cc_migrations = 0;
-  uint64_t cc_imbalance_x1000 = 0;
   /// Bohm only: versions the GC recycled over the window, and the CC /
   /// exec thread split the engine ran with (read back from the engine).
   uint64_t gc_freed = 0;

@@ -8,7 +8,6 @@
 #include <memory>
 #include <thread>
 
-#include "workload/hotspot.h"
 #include "workload/smallbank.h"
 
 namespace bohm {
@@ -49,16 +48,6 @@ Workload SmallBank(const SmallBankConfig& cfg) {
           },
           [cfg](uint32_t tid) -> TxnSource {
             auto gen = std::make_shared<SmallBankGenerator>(cfg, 0x5b000 + tid);
-            return [gen]() { return gen->Make(); };
-          }};
-}
-
-Workload Hotspot(const HotspotConfig& cfg) {
-  const YcsbConfig table = cfg.Ycsb();
-  return {YcsbCatalog(table),
-          [table](const Workload::Sink& sink) { return YcsbLoad(table, sink); },
-          [cfg](uint32_t tid) -> TxnSource {
-            auto gen = std::make_shared<HotspotGenerator>(cfg, 0x407000 + tid);
             return [gen]() { return gen->Make(); };
           }};
 }
@@ -142,7 +131,7 @@ std::vector<Point> Fig4(const Scale& s) {
   std::vector<Point> out;
   for (uint32_t exec : s.threads) {
     for (uint32_t cc : s.threads) {
-      BohmConfig cfg;  // the paper's static partition -> CC-thread map
+      BohmConfig cfg;
       cfg.cc_threads = cc;
       cfg.exec_threads = exec;
       out.push_back(BohmPoint(
@@ -189,43 +178,6 @@ std::vector<Point> Fig10(const Scale& s) {
                                {"customers", T(customers)},
                                {"threads", T(t)}},
                               w, t));
-    }
-  }
-  return out;
-}
-
-std::vector<Point> Fig11(const Scale& s) {
-  // Small records: this figure measures the CC stage, and 1000-byte copies
-  // would make execution the bottleneck. The smoke run is skewed hard
-  // enough (8 hot keys; 4 threads, so 2 CC threads; a 1.05 trigger folded
-  // every 2 batches of 64) that the adaptive controller must migrate.
-  HotspotConfig cfg;
-  cfg.record_count = s.smoke ? 4096 : 100'000;
-  cfg.record_size = 64;
-  cfg.hot_keys = s.smoke ? 8 : 16;
-  cfg.shift_period = s.smoke ? 2000 : 50'000;
-  const Workload w = Hotspot(cfg);
-  std::vector<Point> out;
-  for (uint32_t t : s.smoke ? std::vector<uint32_t>{4} : s.threads) {
-    auto params = [&](const char* variant) {
-      return Params{{"threads", T(t)},
-                    {"hot_keys", T(cfg.hot_keys)},
-                    {"shift_period", T(cfg.shift_period)},
-                    {"variant", variant}};
-    };
-    out.push_back(ExecutorPoint(EngineKind::k2PL, params("2PL"), w, t));
-    for (bool adaptive : {false, true}) {
-      BohmConfig b = BohmSplit(t);
-      b.batch_size = s.smoke ? 64 : 256;
-      b.adaptive.enabled = adaptive;
-      b.adaptive.interval_batches = s.smoke ? 2 : 8;
-      b.adaptive.max_imbalance = s.smoke ? 1.05 : 1.25;
-      Point p = BohmPoint(adaptive ? "Bohm-adaptive" : "Bohm-static",
-                          params(adaptive ? "adaptive" : "static"), w, b);
-      // Generating an 8-RMW hotspot transaction is not free: two feeders
-      // would become the bottleneck before the CC stage does.
-      p.clients = std::max(2u, t / 2);
-      out.push_back(std::move(p));
     }
   }
   return out;
@@ -307,7 +259,7 @@ Status RunPoint(const Point& p, const DriverOptions& opt, BenchResult* out) {
   BohmEngine engine(p.workload.catalog, cfg);
   BOHM_RETURN_NOT_OK(load(engine));
   BOHM_RETURN_NOT_OK(engine.Start());
-  *out = RunBohmBench(engine, p.workload.source, p.clients, opt);
+  *out = RunBohmBench(engine, p.workload.source, kBohmClients, opt);
   engine.Stop();
   if (cfg.durability.enabled) std::filesystem::remove_all(log_dir);
   return Status::OK();
@@ -366,11 +318,6 @@ const std::vector<Figure>& Figures() {
        "50: 2PL best, Bohm close, Hekaton/SI drop; 100,000: 2PL/OCC/Bohm "
        "cluster, Hekaton/SI ~3x lower (global counter)",
        Fig10},
-      {"fig11_hotspot",
-       "Shifting hotspot: static vs. adaptive partition -> CC-thread map",
-       "adaptive migrates hot partitions (cc_migrations > 0, cc_imbalance "
-       "toward 1.0) and beats static",
-       Fig11},
       {"abl_batch_size", "Ablation: Bohm batch size, 10RMW on 8-byte records",
        "throughput climbs away from batch 1, saturates once the per-batch "
        "cost is amortized",
@@ -385,7 +332,9 @@ const std::vector<Figure>& Figures() {
        }},
       {"abl_commit_deps",
        "Ablation: Hekaton/SI commit dependencies, YCSB 2RMW-8R, theta 0.9",
-       "speculative reads of Preparing versions cut aborts", AblCommitDeps},
+       "off: readers wait out a Preparing writer instead of reading its "
+       "version under a commit dependency, trading waits for cascaded aborts",
+       AblCommitDeps},
       {"abl_durability", "Ablation: durable sequencer log, 10RMW, theta 0.9",
        "fsync=none within noise of nolog, group commit a few percent, fsync "
        "per batch bound by the device (log_stall_us)",
@@ -438,7 +387,6 @@ BohmConfig BohmSplit(uint32_t total_threads) {
   BohmConfig cfg;
   cfg.cc_threads = std::max(1u, total_threads / 2);
   cfg.exec_threads = std::max(1u, total_threads - cfg.cc_threads);
-  cfg.adaptive.enabled = true;
   return cfg;
 }
 

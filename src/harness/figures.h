@@ -36,16 +36,18 @@ struct Workload {
 Workload Ycsb(const YcsbConfig& cfg, YcsbGenerator::TxnType txn);
 
 struct Point {
-  std::string system;  ///< "Bohm", "2PL", "Bohm-adaptive", ...
+  std::string system;  ///< "Bohm", "2PL", "OCC", ...
   Params params;
   Workload workload;
-  /// Unset: a Bohm point running `bohm` with `clients` feeder threads.
+  /// Unset: a Bohm point running `bohm`, fed by kBohmClients threads.
   std::optional<EngineKind> executor;
   uint32_t threads = 1;  ///< executor worker threads
   bool commit_dependencies = true;
   BohmConfig bohm;
-  uint32_t clients = 2;
 };
+
+/// Client threads feeding every Bohm point's input queue.
+inline constexpr uint32_t kBohmClients = 2;
 
 /// The five systems at `threads` each, in the paper's plotting order.
 std::vector<Point> AllSystems(const Params& params, const Workload& w,
@@ -100,14 +102,15 @@ std::string FormatRow(const Measurement& m);
 
 /// Writes `figure` as one JSON object: a header naming the host (nproc,
 /// compiler, build type), then one point per line, keys in a fixed order.
-/// An unmeasured gauge (cc_imbalance 0) prints as null; Bohm points add
-/// gc_freed. This is the format of the committed BENCH_*.json snapshots.
+/// Bohm points add gc_freed. This is the format of the committed
+/// BENCH_*.json snapshots.
 void WriteJson(std::FILE* f, const char* figure,
                const std::vector<Measurement>& points);
 
 /// The cross-system comparisons give every system `total_threads`; Bohm
 /// splits them between the CC and execution stages (at least one each,
-/// so 1 and 2 threads both run 1 + 1), with adaptive repartitioning on.
+/// so 1 and 2 threads both run 1 + 1), each CC thread owning one static
+/// partition.
 BohmConfig BohmSplit(uint32_t total_threads);
 
 }  // namespace bohm

@@ -68,7 +68,7 @@ void WriteJson(std::FILE* f, const char* figure,
         ", \"cc_stall_us\": %.1f"
         ", \"exec_stall_us\": %.1f, \"log_stall_us\": %.1f"
         ", \"log_bytes\": %" PRIu64 ", \"log_records\": %" PRIu64
-        ", \"fsyncs\": %" PRIu64 ", \"cc_migrations\": %" PRIu64,
+        ", \"fsyncs\": %" PRIu64,
         r.seconds, r.commits, r.cc_aborts, r.logic_aborts, r.Throughput(),
         r.AbortRate(), r.latency_us.count(), r.latency_us.Mean(), r.P50Us(),
         r.P99Us(), r.P999Us(), r.latency_us.max(),
@@ -77,13 +77,7 @@ void WriteJson(std::FILE* f, const char* figure,
         static_cast<double>(r.cc_stall_ns) / 1000.0,
         static_cast<double>(r.exec_stall_ns) / 1000.0,
         static_cast<double>(r.log_stall_ns) / 1000.0, r.log_bytes,
-        r.log_records, r.log_fsyncs, r.cc_migrations);
-    if (r.cc_imbalance_x1000 == 0) {
-      std::fprintf(f, ", \"cc_imbalance\": null");
-    } else {
-      std::fprintf(f, ", \"cc_imbalance\": %.3f",
-                   static_cast<double>(r.cc_imbalance_x1000) / 1000.0);
-    }
+        r.log_records, r.log_fsyncs);
     if (!p.executor) std::fprintf(f, ", \"gc_freed\": %" PRIu64, r.gc_freed);
     std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }

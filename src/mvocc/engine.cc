@@ -145,6 +145,19 @@ MVTxn* MVOccEngine::BeginTxn(ThreadCtx& ctx) {
 
 MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
   const uint64_t B = txn->begin_ts;
+  // A Preparing transaction t whose end timestamp precedes B is in our
+  // snapshot iff it commits. Assume it does under a commit dependency (if
+  // t aborts, so do we), or else wait for its outcome: skipping its
+  // version now would leave us the one it superseded, stale if t commits.
+  // t never waits on us (we are Active; only Preparing transactions take
+  // dependents), so the wait ends.
+  auto commits_into_snapshot = [&](MVTxn* t) {
+    if (cfg_.commit_dependencies && t->TryRegisterDependent(txn)) return true;
+    SpinWait wait;
+    MVTxnState state;
+    while ((state = t->State()) == MVTxnState::kPreparing) wait.Pause();
+    return state == MVTxnState::kCommitted;
+  };
   for (MVVersion* v = slot->head.load(std::memory_order_acquire);
        v != nullptr; v = v->next) {
     // --- Begin-field test: when was this version born? ---
@@ -158,21 +171,11 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
           effective_begin = tb->EndTs();
           break;
         case MVTxnState::kPreparing: {
-          uint64_t tb_end = tb->EndTs();
-          if (cfg_.commit_dependencies && tb_end < B) {
-            // Speculatively read the uncommitted version under a commit
-            // dependency; if tb later aborts, so do we (cascade).
-            if (tb->TryRegisterDependent(txn)) {
-              effective_begin = tb_end;
-              break;
-            }
-            // Registration raced with tb finishing: resolve by state.
-            if (tb->State() == MVTxnState::kCommitted) {
-              effective_begin = tb->EndTs();
-              break;
-            }
-          }
-          continue;  // not visible (or tb aborted): try the older version
+          const uint64_t tb_end = tb->EndTs();
+          // Born after our snapshot, or aborted: try the older version.
+          if (tb_end > B || !commits_into_snapshot(tb)) continue;
+          effective_begin = tb_end;
+          break;
         }
         case MVTxnState::kActive:
         case MVTxnState::kAborted:
@@ -193,21 +196,12 @@ MVVersion* MVOccEngine::VisibleVersion(MVRecordSlot* slot, MVTxn* txn) {
         case MVTxnState::kCommitted:
           if (te->EndTs() <= B) continue;
           return v;
-        case MVTxnState::kPreparing: {
-          uint64_t te_end = te->EndTs();
-          if (te_end > B) return v;  // stays visible whether te commits or not
-          // te would invalidate this version before our snapshot; assume
-          // it commits (dependency), so the version is invisible.
-          if (cfg_.commit_dependencies && te->TryRegisterDependent(txn)) {
-            continue;
-          }
-          // Raced with te finishing: re-resolve by final state.
-          if (te->State() == MVTxnState::kCommitted &&
-              te->EndTs() <= B) {
-            continue;
-          }
-          return v;
-        }
+        case MVTxnState::kPreparing:
+          // Visible unless te commits before our snapshot. te's newer
+          // version came first in this walk and was settled there, so
+          // te_end > B here in practice.
+          if (te->EndTs() > B || !commits_into_snapshot(te)) return v;
+          continue;
         case MVTxnState::kActive:
         case MVTxnState::kAborted:
           return v;  // in-flight or failed overwrite: still visible

@@ -107,6 +107,19 @@ TEST(BohmEngineTest, LoadDuplicateRejected) {
   EXPECT_TRUE(engine.Load(0, 0, &v).IsInvalidArgument());
 }
 
+TEST(BohmEngineTest, StartRejectsInterestMaskWiderThan64Threads) {
+  BohmConfig cfg;
+  cfg.cc_threads = 65;  // 1ull << 64 would be undefined
+  cfg.exec_threads = 1;
+  BohmEngine engine(OneTable(8), cfg);
+  Status s = engine.Start();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  // The rejected engine never started; Submit refuses and Stop is clean.
+  EXPECT_FALSE(
+      engine.Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
+  engine.Stop();
+}
+
 TEST(BohmEngineTest, PutThenReadLatest) {
   auto engine = MakeEngine(8, BohmConfig{});
   ASSERT_TRUE(engine->RunSync(std::make_unique<PutProcedure>(0, 3, 77)).ok());

@@ -3,8 +3,8 @@
 // huge-page blocks, and the CC and execution stages prefetch each
 // admitted batch's footprint (src/bohm/cc_worker.cc, exec_worker.cc).
 // Prefetching must never change a result, so every pipeline shape the
-// small-table suites cover — CC threads, adaptive repartitioning, GC —
-// is checked here against a serial replay on a table past the gate.
+// small-table suites cover — CC threads, GC — is checked here against a
+// serial replay on a table past the gate.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -73,12 +73,12 @@ TEST(ArenaTest, SmallCatalogKeepsSmallBlocks) {
   }
 }
 
-// (cc_threads, adaptive, gc)
+// (cc_threads, gc)
 class LargeTableEquivalence
-    : public ::testing::TestWithParam<std::tuple<uint32_t, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<uint32_t, bool>> {};
 
 TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
-  const auto [cc_threads, adaptive, gc] = GetParam();
+  const auto [cc_threads, gc] = GetParam();
   const YcsbConfig ycsb = LargeYcsb();
   constexpr int kTxns = 1500;
   constexpr uint32_t kKeysPerTxn = 6;
@@ -90,14 +90,6 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
   cfg.batch_size = 32;
   cfg.pipeline_depth = 4;
   cfg.gc_enabled = gc;
-  if (adaptive) {
-    // Rotate every partition's owner between every pair of batches, so
-    // the CC lookahead runs under a different map in each batch.
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.partitions = 8;
-    cfg.adaptive.interval_batches = 1;
-    cfg.adaptive.force_rotate = true;
-  }
   BohmEngine engine(YcsbCatalog(ycsb), cfg);
   ASSERT_TRUE(engine.prefetching());
   ASSERT_TRUE(YcsbLoad(ycsb, [&](TableId t, Key k, const void* p) {
@@ -110,7 +102,7 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
   std::vector<uint64_t> golden(ycsb.record_count, 0);
   std::vector<std::unique_ptr<YcsbMixedProcedure>> mixed;
   std::vector<uint64_t> expected_sums;
-  Rng rng(cc_threads * 100 + (adaptive ? 10 : 0) + (gc ? 1 : 0));
+  Rng rng(cc_threads * 100 + (gc ? 1 : 0));
   ScrambledZipf zipf(ycsb.record_count, ycsb.theta);
   for (int i = 0; i < kTxns; ++i) {
     std::vector<Key> keys;
@@ -149,20 +141,15 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
     ASSERT_EQ(mixed[i]->observed_sum(), expected_sums[i]) << "mixed txn " << i;
   }
   EXPECT_EQ(engine.Stats().commits, static_cast<uint64_t>(kTxns));
-  if (adaptive && cc_threads > 1) {
-    EXPECT_GT(engine.cc_migrations(), 0u);
-  }
   engine.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LargeTableEquivalence,
-    ::testing::Combine(::testing::Values(1u, 2u), ::testing::Bool(),
-                       ::testing::Bool()),
+    ::testing::Combine(::testing::Values(1u, 2u), ::testing::Bool()),
     [](const auto& shape) {
       return "cc" + std::to_string(std::get<0>(shape.param)) +
-             (std::get<1>(shape.param) ? "_adaptive" : "_static") +
-             (std::get<2>(shape.param) ? "_gc" : "_nogc");
+             (std::get<1>(shape.param) ? "_gc" : "_nogc");
     });
 
 }  // namespace

@@ -76,8 +76,8 @@ TEST(BohmTableTest, EntryCountPerPartition) {
 
 TEST(BohmTableTest, BucketHashIndependentOfPartitionHash) {
   // Regression: partition = HashKey(key) % P and bucket = hash & mask
-  // used the SAME hash. With a power-of-two partition count (adaptive
-  // mode uses 128-1024) every key in partition p satisfies
+  // used the SAME hash. With a power-of-two partition count (any
+  // power-of-two number of CC threads) every key in partition p satisfies
   // hash ≡ p (mod P), so only buckets/P bucket slots per partition were
   // reachable — chains ran ~P times longer than the ~1-per-bucket
   // sizing, roughly halving whole-pipeline throughput at P=128. With an

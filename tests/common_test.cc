@@ -214,13 +214,6 @@ TEST(StatsTest, AbortRateZeroAttempts) {
   EXPECT_DOUBLE_EQ(s.AbortRate(), 0.0);
 }
 
-TEST(StatsTest, ResetClears) {
-  StatsRegistry reg(2);
-  reg.Slice(0).commits.Inc(5);
-  reg.Reset();
-  EXPECT_EQ(reg.Fold().commits, 0u);
-}
-
 TEST(StatsTest, ToStringMentionsFields) {
   StatsSnapshot s;
   s.commits = 3;

@@ -86,14 +86,6 @@ TEST(HistogramTest, MergeAddsCounts) {
   EXPECT_DOUBLE_EQ(a.Mean(), 20.0);
 }
 
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.Record(5);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-}
-
 TEST(HistogramTest, QuantileClamped) {
   Histogram h;
   h.Record(7);
@@ -217,17 +209,6 @@ TEST(AtomicHistogramTest, MergeIntoAccumulates) {
   ah.MergeInto(&out);
   EXPECT_EQ(out.count(), 2u);
   EXPECT_DOUBLE_EQ(out.Mean(), 15.0);
-}
-
-TEST(AtomicHistogramTest, ResetClears) {
-  AtomicHistogram ah;
-  ah.Record(7);
-  ah.Reset();
-  EXPECT_EQ(ah.count(), 0u);
-  Histogram out;
-  ah.MergeInto(&out);
-  EXPECT_EQ(out.count(), 0u);
-  EXPECT_EQ(out.max(), 0u);
 }
 
 TEST(AtomicHistogramTest, ConcurrentFoldSeesConsistentPrefix) {

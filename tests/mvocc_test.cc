@@ -230,6 +230,58 @@ TEST_P(MVOccModeTest, WriterParkedAfterDrawingEndTsLosesNoUpdate) {
   EXPECT_EQ(out, 2u) << "an increment was lost";
 }
 
+TEST_P(MVOccModeTest, ReaderAfterParkedWritersEndTsSeesItsWrite) {
+  // T1 increments X and is parked right after it draws its end timestamp
+  // E1, still Preparing. A reader R that begins after E1 (B > E1) has T1
+  // in its snapshot once T1 commits, so it must read T1's version. R
+  // meets that version first and must settle T1's outcome there: read it
+  // under a commit dependency, or, without speculation, wait for T1 to
+  // finish. Skipping it would leave R with the version T1 superseded,
+  // whose End field names a Preparing T1 with E1 <= B: stale if R took
+  // it, and nothing at all if R walked past it once T1 had committed.
+  for (bool speculate : {true, false}) {
+    SCOPED_TRACE(speculate ? "commit dependencies" : "no speculation");
+    MVOccConfig cfg;
+    cfg.mode = GetParam();
+    cfg.threads = 2;
+    cfg.commit_dependencies = speculate;
+    MVOccEngine engine(OneTable(1), cfg);
+    const uint64_t initial = 0;
+    ASSERT_TRUE(engine.Load(0, 0, &initial).ok());
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+    std::atomic<uint64_t> t1_end{0};
+    engine.set_end_ts_hook([&](uint32_t thread_id, uint64_t end) {
+      if (thread_id != 0 || parked.load()) return;  // park T1's commit
+      t1_end.store(end);
+      parked.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    std::thread t1([&] {
+      IncrementProcedure inc(0, 0);
+      EXPECT_TRUE(engine.Execute(inc, 0).ok());
+    });
+    while (!parked.load()) std::this_thread::yield();
+
+    uint64_t out = 0;
+    bool found = false;
+    std::thread reader([&] {
+      GetProcedure get(0, 0, &out, &found);
+      EXPECT_TRUE(engine.Execute(get, 1).ok());
+    });
+    // R has drawn its begin timestamp once the clock passes E1 + 1; let it
+    // reach T1's version while T1 is still parked. The outcome must be
+    // right however far R got.
+    while (engine.clock() <= t1_end.load() + 1) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.store(true);
+    t1.join();
+    reader.join();
+    EXPECT_TRUE(found) << "the record vanished";
+    EXPECT_EQ(out, 1u) << "the reader missed T1's write";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, MVOccModeTest,
                          ::testing::Values(MVOccMode::kHekaton,
                                            MVOccMode::kSnapshotIsolation));
