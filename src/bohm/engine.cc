@@ -303,6 +303,7 @@ StatsSnapshot BohmEngine::Stats() const {
     s.log_records = log_writer_->records();
     s.log_fsyncs = log_writer_->fsyncs();
   }
+  s.gc_freed = gc_freed_versions();
   return s;
 }
 

@@ -72,16 +72,21 @@ class Histogram {
   /// over monotonically growing histograms: `earlier` must be a snapshot
   /// of the same histogram taken before `later` (every bucket count and
   /// the total are then <= their `later` counterparts; values that do not
-  /// satisfy this are clamped to zero rather than underflowing). The max
-  /// is `later`'s — the per-bucket counts cannot recover a windowed max,
-  /// so it is an upper bound for the window.
+  /// satisfy this are clamped to zero rather than underflowing). The
+  /// per-bucket counts cannot recover the window's exact max, so the max
+  /// is the upper bound of the highest bucket the window filled (capped
+  /// at `later`'s max): within one sub-bucket of the true window max, and
+  /// never a larger sample recorded before `earlier`.
   static Histogram Delta(const Histogram& later, const Histogram& earlier) {
     Histogram out;
     out.count_ = Sub(later.count_, earlier.count_);
     out.total_ = Sub(later.total_, earlier.total_);
-    out.max_ = out.count_ == 0 ? 0 : later.max_;
     for (std::size_t i = 0; i < out.buckets_.size(); ++i) {
       out.buckets_[i] = Sub(later.buckets_[i], earlier.buckets_[i]);
+      if (out.buckets_[i] != 0) {
+        const uint64_t ub = BucketUpperBound(i);
+        out.max_ = ub < later.max_ ? ub : later.max_;
+      }
     }
     return out;
   }

@@ -94,6 +94,8 @@ struct StatsSnapshot {
   uint64_t log_bytes = 0;     ///< bytes appended to the log
   uint64_t log_records = 0;   ///< batch records appended
   uint64_t log_fsyncs = 0;    ///< fsync calls issued by the log writer
+  /// Versions the GC recycled (Bohm only; zero for executor engines).
+  uint64_t gc_freed = 0;
 
   double AbortRate() const {
     uint64_t attempts = commits + cc_aborts;
@@ -103,6 +105,11 @@ struct StatsSnapshot {
   }
   std::string ToString() const;
 };
+
+/// The window between two snapshots of one engine, `earlier` taken first:
+/// every counter is the difference and `latency_us` the Histogram::Delta.
+StatsSnapshot operator-(const StatsSnapshot& later,
+                        const StatsSnapshot& earlier);
 
 /// Fixed-size pool of per-thread stats slices.
 class StatsRegistry {

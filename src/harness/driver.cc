@@ -1,8 +1,11 @@
 #include "harness/driver.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/spin.h"
@@ -13,32 +16,81 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double Seconds(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
+// The one window loop. `threads` workers each call step(t, source()) until
+// the run ends (or step returns false). At both window edges every worker
+// parks, then `drain` (if set) and `snapshot` run, so every counter of the
+// result covers exactly the window's transactions. The window closes when
+// `pause` is set, as a worker then finishes at most the transaction it is
+// in; a drain commits a whole input queue of window submissions, so its
+// time counts too.
+//
+// Thread-safety: no locks (docs/CONCURRENCY.md). A worker increments
+// `parked` after its last step and the main thread loads it before
+// `snapshot`, which may therefore read what workers write (the executor
+// histograms) until `pause` is cleared. Setting `pause` then counting
+// `parked` (main) against leaving `parked` then testing `pause` (worker)
+// is a store-load pair on each side, so those four accesses are seq_cst:
+// a worker still counted as parked cannot miss `pause` and run a step.
+template <typename Step, typename Snapshot>
+BenchResult RunWindow(uint32_t threads, const TxnSourceMaker& maker,
+                      const DriverOptions& opt, Step step,
+                      const std::function<void()>& drain, Snapshot snapshot) {
+  std::atomic<bool> stop{false};
+  std::atomic<bool> pause{false};
+  std::atomic<uint32_t> parked{0};
+  std::atomic<uint32_t> alive{threads};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (uint32_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      TxnSource source = maker(t);
+      while (!stop.load(std::memory_order_acquire)) {
+        if (pause.load()) {
+          parked.fetch_add(1);
+          SpinWait wait;
+          while (pause.load(std::memory_order_acquire) &&
+                 !stop.load(std::memory_order_acquire)) {
+            wait.Pause();
+          }
+          parked.fetch_sub(1);
+          continue;
+        }
+        if (!step(t, source())) break;
+      }
+      alive.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  }
 
-BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
-                   double seconds) {
+  // Returns when the window closed.
+  auto quiesce = [&] {
+    pause.store(true);
+    Clock::time_point closed = Clock::now();
+    SpinWait wait;
+    while (parked.load() < alive.load(std::memory_order_acquire)) {
+      wait.Pause();
+    }
+    if (drain) {
+      drain();
+      closed = Clock::now();
+    }
+    return closed;
+  };
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
+  quiesce();
+  const StatsSnapshot before = snapshot();
+  const auto t0 = Clock::now();
+  pause.store(false, std::memory_order_release);
+  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
+  const auto t1 = quiesce();
+  const StatsSnapshot after = snapshot();
+
+  stop.store(true, std::memory_order_release);
+  pause.store(false, std::memory_order_release);
+  for (auto& w : workers) w.join();
   BenchResult r;
-  r.seconds = seconds;
-  r.commits = after.commits - before.commits;
-  r.cc_aborts = after.cc_aborts - before.cc_aborts;
-  r.logic_aborts = after.logic_aborts - before.logic_aborts;
-  // Engine-side latency histograms grow monotonically, so the window is
-  // the bucket-wise difference of the two snapshots. Empty for executor
-  // engines (they record nothing engine-side); RunExecutorBench merges
-  // its driver-side per-thread histograms on top.
-  r.latency_us = Histogram::Delta(after.latency_us, before.latency_us);
-  // Stall attribution is monotone like the counters (zero for executor
-  // engines).
-  r.seq_stall_ns = after.seq_stall_ns - before.seq_stall_ns;
-  r.seq_idle_ns = after.seq_idle_ns - before.seq_idle_ns;
-  r.cc_stall_ns = after.cc_stall_ns - before.cc_stall_ns;
-  r.exec_stall_ns = after.exec_stall_ns - before.exec_stall_ns;
-  r.log_stall_ns = after.log_stall_ns - before.log_stall_ns;
-  r.log_bytes = after.log_bytes - before.log_bytes;
-  r.log_records = after.log_records - before.log_records;
-  r.log_fsyncs = after.log_fsyncs - before.log_fsyncs;
+  static_cast<StatsSnapshot&>(r) = after - before;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
 }
 
@@ -47,167 +99,44 @@ BenchResult Window(const StatsSnapshot& before, const StatsSnapshot& after,
 BenchResult RunExecutorBench(ExecutorEngine& engine,
                              const TxnSourceMaker& maker,
                              const DriverOptions& opt) {
-  const uint32_t threads = engine.worker_threads();
-  // Thread-safety: the driver coordinates workers only through these
-  // acquire/release flags and per-thread histograms and commit counts
-  // (single-writer each, read after join) — no locks, nothing for the
-  // static analysis to track (docs/CONCURRENCY.md).
-  std::atomic<bool> stop{false};
-  std::atomic<bool> measuring{false};
-  std::vector<Histogram> latencies(threads);
-  std::vector<uint64_t> window_commits(threads, 0);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      Histogram& lat = latencies[t];
-      uint64_t commits = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        ProcedurePtr proc = source();
-        if (measuring.load(std::memory_order_acquire)) {
-          auto s = Clock::now();
-          if (engine.Execute(*proc, t).ok()) {
-            lat.Record(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - s)
-                    .count()));
-            ++commits;
-          }
-        } else {
-          (void)engine.Execute(*proc, t);
+  // Executor engines record no latency engine-side: each worker times its
+  // own committed Execute() calls, and the snapshot merges the workers'
+  // histograms into the engine's counters.
+  std::vector<Histogram> latencies(engine.worker_threads());
+  return RunWindow(
+      engine.worker_threads(), maker, opt,
+      [&](uint32_t t, ProcedurePtr proc) {
+        const auto s = Clock::now();
+        if (engine.Execute(*proc, t).ok()) {
+          latencies[t].Record(static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  Clock::now() - s)
+                  .count()));
         }
-      }
-      window_commits[t] = commits;
-    });
-  }
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
-  // The window's commits are counted here, under the same gate as the
-  // latency samples, so the histogram count equals `commits` exactly.
-  // The engine snapshots cannot give that: workers keep committing
-  // between a snapshot and the gate flip.
-  StatsSnapshot before = engine.Stats();
-  auto t0 = Clock::now();
-  measuring.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
-  measuring.store(false, std::memory_order_release);
-  StatsSnapshot after = engine.Stats();
-  auto t1 = Clock::now();
-
-  stop.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  BenchResult r = Window(before, after, Seconds(t0, t1));
-  r.commits = 0;
-  for (uint64_t c : window_commits) r.commits += c;
-  for (const Histogram& h : latencies) r.latency_us.Merge(h);
-  return r;
+        return true;
+      },
+      nullptr,
+      [&] {
+        StatsSnapshot s = engine.Stats();
+        for (const Histogram& h : latencies) s.latency_us.Merge(h);
+        return s;
+      });
 }
 
 BenchResult RunBohmBench(BohmEngine& engine, const TxnSourceMaker& maker,
                          uint32_t client_threads, const DriverOptions& opt) {
-  if (client_threads == 0) client_threads = 1;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> pause{false};
-  std::atomic<uint32_t> parked{0};
-  std::atomic<uint32_t> alive{client_threads};
-  std::vector<std::thread> clients;
-  clients.reserve(client_threads);
-  for (uint32_t t = 0; t < client_threads; ++t) {
-    clients.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      while (!stop.load(std::memory_order_acquire)) {
-        if (pause.load(std::memory_order_acquire)) {
-          parked.fetch_add(1, std::memory_order_acq_rel);
-          SpinWait wait;
-          while (pause.load(std::memory_order_acquire) &&
-                 !stop.load(std::memory_order_acquire)) {
-            wait.Pause();
-          }
-          parked.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
-        }
-        // Submit blocks (yielding) when the pipeline is full, providing
-        // natural back-pressure.
-        if (!engine.Submit(source()).ok()) break;
-      }
-      alive.fetch_sub(1, std::memory_order_acq_rel);
-    });
-  }
-
-  // Both window edges are quiescent points: park every client, drain the
-  // pipeline, then snapshot. This fixes the pipelined window skew — a
-  // transaction submitted during warmup can no longer have its commit
-  // land inside the window (and a window submission cannot leak past the
-  // closing edge), so the window's commit count, latency-histogram count
-  // and wall-clock window all cover exactly the same transactions, at
-  // the cost of re-filling the pipeline at the opening edge (microseconds
-  // against a >=100ms window).
-  auto quiesced_snapshot = [&]() -> StatsSnapshot {
-    pause.store(true, std::memory_order_release);
-    SpinWait wait;
-    while (parked.load(std::memory_order_acquire) <
-           alive.load(std::memory_order_acquire)) {
-      wait.Pause();
-    }
-    engine.WaitForIdle();
-    return engine.Stats();
-  };
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.warmup_ms));
-  StatsSnapshot before = quiesced_snapshot();
-  const uint64_t gc_before = engine.gc_freed_versions();
-  auto t0 = Clock::now();
-  pause.store(false, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(opt.measure_ms));
-  StatsSnapshot after = quiesced_snapshot();
-  const uint64_t gc_after = engine.gc_freed_versions();
-  auto t1 = Clock::now();
-
-  stop.store(true, std::memory_order_release);
-  pause.store(false, std::memory_order_release);
-  for (auto& c : clients) c.join();
-  engine.WaitForIdle();
-  BenchResult r = Window(before, after, Seconds(t0, t1));
-  r.gc_freed = gc_after - gc_before;
+  // Submit blocks (yielding) when the pipeline is full, providing natural
+  // back-pressure; the snapshot drains the pipeline first, so no window
+  // submission commits outside it and no warmup one inside it.
+  BenchResult r = RunWindow(
+      std::max(client_threads, 1u), maker, opt,
+      [&](uint32_t, ProcedurePtr proc) {
+        return engine.Submit(std::move(proc)).ok();
+      },
+      [&] { engine.WaitForIdle(); }, [&] { return engine.Stats(); });
   r.cc_threads = engine.config().cc_threads;
   r.exec_threads = engine.config().exec_threads;
   return r;
-}
-
-BenchResult RunExecutorCount(ExecutorEngine& engine,
-                             const TxnSourceMaker& maker,
-                             uint64_t count_per_thread) {
-  const uint32_t threads = engine.worker_threads();
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  StatsSnapshot before = engine.Stats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      TxnSource source = maker(t);
-      for (uint64_t i = 0; i < count_per_thread; ++i) {
-        ProcedurePtr proc = source();
-        (void)engine.Execute(*proc, t);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  auto t1 = std::chrono::steady_clock::now();
-  return Window(before, engine.Stats(), Seconds(t0, t1));
-}
-
-BenchResult RunBohmCount(BohmEngine& engine, const TxnSourceMaker& maker,
-                         uint64_t total_count) {
-  TxnSource source = maker(0);
-  StatsSnapshot before = engine.Stats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < total_count; ++i) {
-    (void)engine.Submit(source());
-  }
-  engine.WaitForIdle();
-  auto t1 = std::chrono::steady_clock::now();
-  return Window(before, engine.Stats(), Seconds(t0, t1));
 }
 
 }  // namespace bohm

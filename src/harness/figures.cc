@@ -54,12 +54,14 @@ Workload SmallBank(const SmallBankConfig& cfg) {
 
 Point BohmPoint(std::string system, Params params, const Workload& w,
                 const BohmConfig& cfg) {
-  // Every Bohm point names the split it ran (fig4 sweeps it already).
+  // Every Bohm point names the split it ran (fig4 sweeps it already) and
+  // the client threads that fed it, which no thread axis counts.
   if (std::none_of(params.begin(), params.end(),
                    [](const auto& kv) { return kv.first == "cc_threads"; })) {
     params.emplace_back("cc_threads", T(cfg.cc_threads));
     params.emplace_back("exec_threads", T(cfg.exec_threads));
   }
+  params.emplace_back("clients", T(kBohmClients));
   Point p;
   p.system = std::move(system);
   p.params = std::move(params);

@@ -1,7 +1,7 @@
 // End-to-end latency accounting through the Bohm pipeline: transactions
 // are stamped at Submit(), the latency is recorded at commit publication
-// in the execution stage, and the driver windows the engine-side
-// histogram between two quiesced snapshots. These tests pin down the
+// in the execution stage, and a window is the difference of two engine
+// snapshots taken with the pipeline drained. These tests pin down the
 // user-visible invariants: non-zero monotone percentiles, and an exact
 // histogram-count == commit-count correspondence for every window.
 #include <gtest/gtest.h>
@@ -57,35 +57,28 @@ TEST(BohmLatencyTest, TimedWindowPercentilesNonZeroAndMonotone) {
   engine.Stop();
 }
 
-TEST(BohmLatencyTest, TimedWindowHistogramCountEqualsCommits) {
-  // Both window edges are quiesced (clients parked, pipeline drained), so
-  // the latency histogram describes exactly the window's committed
-  // transactions — equality, not a tolerance band.
-  BohmConfig cfg;
-  cfg.batch_size = 32;
-  BohmEngine engine(OneTable(128), cfg);
-  LoadedEngine(engine, 128);
-  DriverOptions opt;
-  opt.warmup_ms = 20;
-  opt.measure_ms = 80;
-  BenchResult r = RunBohmBench(engine, IncrementMaker(128), 2, opt);
-  ASSERT_GT(r.commits, 0u);
-  EXPECT_EQ(r.latency_us.count(), r.commits);
-  engine.Stop();
+// Submits `n` transactions from `source`, drains the pipeline and returns
+// the window between the snapshots before and after.
+StatsSnapshot SubmitAll(BohmEngine& engine, TxnSource& source, uint64_t n) {
+  const StatsSnapshot before = engine.Stats();
+  for (uint64_t i = 0; i < n; ++i) EXPECT_TRUE(engine.Submit(source()).ok());
+  engine.WaitForIdle();
+  return engine.Stats() - before;
 }
 
 TEST(BohmLatencyTest, CountRunRecordsEverySubmission) {
-  // Fixed-count runs drain the pipeline before the closing snapshot, so
-  // all N submissions appear in both the commit count and the histogram.
+  // The pipeline is drained before the closing snapshot, so all N
+  // submissions appear in both the commit count and the histogram.
   BohmConfig cfg;
   cfg.batch_size = 16;
   BohmEngine engine(OneTable(64), cfg);
   LoadedEngine(engine, 64);
-  BenchResult r = RunBohmCount(engine, IncrementMaker(64), 400);
-  EXPECT_EQ(r.commits, 400u);
-  EXPECT_EQ(r.latency_us.count(), 400u);
-  EXPECT_GT(r.P50Us(), 0u);
-  EXPECT_LE(r.P50Us(), r.P999Us());
+  TxnSource source = IncrementMaker(64)(0);
+  const StatsSnapshot w = SubmitAll(engine, source, 400);
+  EXPECT_EQ(w.commits, 400u);
+  EXPECT_EQ(w.latency_us.count(), 400u);
+  EXPECT_GT(w.latency_us.Percentile(0.50), 0u);
+  EXPECT_LE(w.latency_us.Percentile(0.50), w.latency_us.Percentile(0.999));
   engine.Stop();
 }
 
@@ -99,29 +92,31 @@ TEST(BohmLatencyTest, LatencyCoversPipelineNotJustExecution) {
   cfg.batch_size = 8;
   BohmEngine engine(OneTable(32), cfg);
   LoadedEngine(engine, 32);
-  BenchResult r = RunBohmCount(engine, IncrementMaker(32), 100);
-  ASSERT_EQ(r.latency_us.count(), 100u);
-  EXPECT_GE(r.latency_us.Mean(), 1.0);
-  EXPECT_GE(r.latency_us.max(), 1u);
-  EXPECT_LE(r.P50Us(), r.latency_us.max() * 2);
+  TxnSource source = IncrementMaker(32)(0);
+  const StatsSnapshot w = SubmitAll(engine, source, 100);
+  ASSERT_EQ(w.latency_us.count(), 100u);
+  EXPECT_GE(w.latency_us.Mean(), 1.0);
+  EXPECT_GE(w.latency_us.max(), 1u);
+  EXPECT_LE(w.latency_us.Percentile(0.50), w.latency_us.max() * 2);
   engine.Stop();
 }
 
 TEST(BohmLatencyTest, EngineHistogramGrowsMonotonically) {
-  // The engine-side folded histogram only grows; windows are deltas.
+  // The engine-side counters and folded histogram only grow, so
+  // back-to-back windows on one engine are each exact snapshot deltas.
   BohmConfig cfg;
   cfg.batch_size = 16;
   BohmEngine engine(OneTable(64), cfg);
   LoadedEngine(engine, 64);
-  auto maker = IncrementMaker(64);
-  (void)RunBohmCount(engine, maker, 150);
-  StatsSnapshot s1 = engine.Stats();
-  (void)RunBohmCount(engine, maker, 150);
-  StatsSnapshot s2 = engine.Stats();
-  EXPECT_EQ(s1.latency_us.count(), 150u);
-  EXPECT_EQ(s2.latency_us.count(), 300u);
-  Histogram window = Histogram::Delta(s2.latency_us, s1.latency_us);
-  EXPECT_EQ(window.count(), 150u);
+  TxnSource source = IncrementMaker(64)(0);
+  for (uint64_t round = 1; round <= 3; ++round) {
+    const StatsSnapshot w = SubmitAll(engine, source, 150);
+    EXPECT_EQ(w.commits, 150u) << "round " << round;
+    EXPECT_EQ(w.latency_us.count(), 150u) << "round " << round;
+    const StatsSnapshot total = engine.Stats();
+    EXPECT_EQ(total.commits, 150u * round);
+    EXPECT_EQ(total.latency_us.count(), 150u * round);
+  }
   engine.Stop();
 }
 

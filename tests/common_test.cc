@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -212,6 +213,42 @@ TEST(StatsTest, AbortRate) {
 TEST(StatsTest, AbortRateZeroAttempts) {
   StatsSnapshot s;
   EXPECT_DOUBLE_EQ(s.AbortRate(), 0.0);
+}
+
+TEST(StatsTest, SubtractionCoversEveryField) {
+  // A field added to StatsSnapshot changes its size: add it to operator-
+  // and to kCounters below.
+  static_assert(sizeof(StatsSnapshot) ==
+                sizeof(Histogram) + 15 * sizeof(uint64_t));
+  constexpr uint64_t StatsSnapshot::*kCounters[] = {
+      &StatsSnapshot::commits,       &StatsSnapshot::cc_aborts,
+      &StatsSnapshot::logic_aborts,  &StatsSnapshot::retries,
+      &StatsSnapshot::reads,         &StatsSnapshot::writes,
+      &StatsSnapshot::seq_stall_ns,  &StatsSnapshot::seq_idle_ns,
+      &StatsSnapshot::cc_stall_ns,   &StatsSnapshot::exec_stall_ns,
+      &StatsSnapshot::log_stall_ns,  &StatsSnapshot::log_bytes,
+      &StatsSnapshot::log_records,   &StatsSnapshot::log_fsyncs,
+      &StatsSnapshot::gc_freed};
+  StatsSnapshot earlier;
+  StatsSnapshot later;
+  for (size_t i = 0; i < std::size(kCounters); ++i) {
+    earlier.*kCounters[i] = 1000 + i;
+    later.*kCounters[i] = 1000 + i + 7 * (i + 1);  // distinct per field
+  }
+  for (uint64_t v : {1, 5}) {
+    earlier.latency_us.Record(v);
+    later.latency_us.Record(v);
+  }
+  for (uint64_t v : {5, 300, 300}) later.latency_us.Record(v);
+
+  const StatsSnapshot d = later - earlier;
+  for (size_t i = 0; i < std::size(kCounters); ++i) {
+    EXPECT_EQ(d.*kCounters[i], 7 * (i + 1)) << "counter " << i;
+  }
+  EXPECT_EQ(d.latency_us.count(), 3u);
+  EXPECT_DOUBLE_EQ(d.latency_us.Mean(), 605.0 / 3);
+  EXPECT_EQ(d.latency_us.Percentile(0.0), 5u);
+  EXPECT_EQ(d.latency_us.Percentile(1.0), 300u);
 }
 
 TEST(StatsTest, ToStringMentionsFields) {

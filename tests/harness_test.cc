@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "harness/driver.h"
@@ -14,43 +15,54 @@ namespace {
 
 using testutil::OneTable;
 
-TEST(DriverTest, ExecutorCountRunsExactly) {
-  auto engine = MakeExecutorEngine(EngineKind::k2PL, OneTable(64), 2);
+TxnSourceMaker IncrementMaker(uint64_t keys) {
+  return [keys](uint32_t tid) {
+    auto rng = std::make_shared<Rng>(tid);
+    return [rng, keys]() -> ProcedurePtr {
+      return std::make_unique<IncrementProcedure>(0, rng->Uniform(keys));
+    };
+  };
+}
+
+// Both engine shapes run the one window loop: every driver thread parks
+// (and Bohm drains) at each window edge before the engine is snapshotted,
+// so the latency histogram holds exactly the window's commits, and the
+// warmup's commits stay out of the window.
+class WindowTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WindowTest, CoversExactlyTheWindowsCommits) {
+  DriverOptions opt;
+  opt.warmup_ms = 30;
+  opt.measure_ms = 60;
   uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  BenchResult r = RunExecutorCount(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      100);
-  EXPECT_EQ(r.commits, 200u);
-  EXPECT_GT(r.seconds, 0.0);
+  BenchResult r;
+  uint64_t lifetime_commits = 0;
+  if (GetParam() == "Bohm") {
+    BohmConfig cfg;
+    cfg.batch_size = 32;
+    BohmEngine engine(OneTable(64), cfg);
+    for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
+    ASSERT_TRUE(engine.Start().ok());
+    r = RunBohmBench(engine, IncrementMaker(64), 2, opt);
+    lifetime_commits = engine.Stats().commits;
+    engine.Stop();
+  } else {
+    auto engine = MakeExecutorEngine(EngineKind::k2PL, OneTable(64), 2);
+    for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
+    r = RunExecutorBench(*engine, IncrementMaker(64), opt);
+    lifetime_commits = engine->Stats().commits;
+  }
+  ASSERT_GT(r.commits, 0u);
+  EXPECT_EQ(r.latency_us.count(), r.commits);
+  // Warmup ran for a comparable duration, so the engine's lifetime commit
+  // total strictly exceeds the window's.
+  EXPECT_GT(lifetime_commits, r.commits);
+  EXPECT_GE(r.seconds, 0.06);
   EXPECT_GT(r.Throughput(), 0.0);
 }
 
-TEST(DriverTest, ExecutorTimedWindowCommitsSomething) {
-  auto engine = MakeExecutorEngine(EngineKind::kOCC, OneTable(64), 2);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  DriverOptions opt;
-  opt.warmup_ms = 10;
-  opt.measure_ms = 50;
-  BenchResult r = RunExecutorBench(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      opt);
-  EXPECT_GT(r.commits, 0u);
-  EXPECT_NEAR(r.seconds, 0.05, 0.05);
-}
+INSTANTIATE_TEST_SUITE_P(Shapes, WindowTest,
+                         ::testing::Values("2PL", "Bohm"));
 
 TEST(DriverTest, BohmCountCompletesAll) {
   BohmConfig cfg;
@@ -59,118 +71,11 @@ TEST(DriverTest, BohmCountCompletesAll) {
   uint64_t zero = 0;
   for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
   ASSERT_TRUE(engine.Start().ok());
-  BenchResult r = RunBohmCount(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      500);
-  EXPECT_EQ(r.commits, 500u);
-  engine.Stop();
-}
-
-TEST(DriverTest, BohmTimedWindow) {
-  BohmConfig cfg;
-  cfg.batch_size = 32;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  DriverOptions opt;
-  opt.warmup_ms = 10;
-  opt.measure_ms = 50;
-  BenchResult r = RunBohmBench(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      1, opt);
-  EXPECT_GT(r.commits, 0u);
-  engine.Stop();
-}
-
-TEST(DriverTest, ExecutorWarmupExcludedFromWindow) {
-  // The driver counts the window's commits under the same gate as the
-  // latency samples, so warmup commits never enter the histogram and its
-  // count equals the window's commits exactly.
-  const uint32_t threads = 2;
-  auto engine = MakeExecutorEngine(EngineKind::k2PL, OneTable(64), threads);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-  DriverOptions opt;
-  opt.warmup_ms = 30;
-  opt.measure_ms = 60;
-  BenchResult r = RunExecutorBench(
-      *engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      opt);
-  ASSERT_GT(r.commits, 0u);
-  EXPECT_EQ(r.latency_us.count(), r.commits);
-  // Warmup ran for a comparable duration, so the engine's lifetime commit
-  // total strictly exceeds the window's.
-  EXPECT_GT(engine->Stats().commits, r.commits);
-}
-
-TEST(DriverTest, BohmWarmupExcludedFromWindow) {
-  // Both window edges are quiesced, so the histogram delta covers exactly
-  // the window's commits — no warmup leakage in either direction.
-  BohmConfig cfg;
-  cfg.batch_size = 32;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  DriverOptions opt;
-  opt.warmup_ms = 30;
-  opt.measure_ms = 60;
-  BenchResult r = RunBohmBench(
-      engine,
-      [&](uint32_t tid) {
-        auto rng = std::make_shared<Rng>(tid);
-        return [rng]() -> ProcedurePtr {
-          return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-        };
-      },
-      2, opt);
-  ASSERT_GT(r.commits, 0u);
-  EXPECT_EQ(r.latency_us.count(), r.commits);
-  EXPECT_GT(engine.Stats().commits, r.commits);
-  engine.Stop();
-}
-
-TEST(DriverTest, BohmRepeatedCountWindowsExact) {
-  // Back-to-back fixed-count runs on one engine: each window's commit and
-  // histogram counts are exact despite the monotonically growing
-  // engine-side counters.
-  BohmConfig cfg;
-  cfg.batch_size = 16;
-  BohmEngine engine(OneTable(64), cfg);
-  uint64_t zero = 0;
-  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-  ASSERT_TRUE(engine.Start().ok());
-  auto maker = [&](uint32_t tid) {
-    auto rng = std::make_shared<Rng>(tid);
-    return [rng]() -> ProcedurePtr {
-      return std::make_unique<IncrementProcedure>(0, rng->Uniform(64));
-    };
-  };
-  for (int round = 0; round < 3; ++round) {
-    BenchResult r = RunBohmCount(engine, maker, 200);
-    EXPECT_EQ(r.commits, 200u) << "round " << round;
-    EXPECT_EQ(r.latency_us.count(), 200u) << "round " << round;
-  }
-  EXPECT_EQ(engine.Stats().commits, 600u);
+  TxnSource source = IncrementMaker(64)(0);
+  const StatsSnapshot before = engine.Stats();
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(engine.Submit(source()).ok());
+  engine.WaitForIdle();
+  EXPECT_EQ((engine.Stats() - before).commits, 500u);
   engine.Stop();
 }
 

@@ -162,6 +162,7 @@ TEST(HistogramTest, DeltaSubtractsWindow) {
   Histogram earlier;
   earlier.Record(10);
   earlier.Record(20);
+  earlier.Record(5000);  // an outlier before the window
   Histogram later = earlier;
   later.Record(100);
   later.Record(200);
@@ -170,6 +171,11 @@ TEST(HistogramTest, DeltaSubtractsWindow) {
   EXPECT_EQ(d.count(), 3u);
   EXPECT_DOUBLE_EQ(d.Mean(), 200.0);
   EXPECT_GE(d.Percentile(0.0), 100u);
+  // The window's max comes from its own buckets, not the earlier outlier:
+  // at most one sub-bucket (1/16) above the true max.
+  EXPECT_GE(d.max(), 300u);
+  EXPECT_LE(d.max(), 300u + 300u / 16);
+  EXPECT_EQ(d.Percentile(1.0), d.max());
 }
 
 TEST(HistogramTest, DeltaOfEqualSnapshotsIsEmpty) {

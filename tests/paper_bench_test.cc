@@ -1,11 +1,12 @@
 // Every paper figure and ablation at its smoke size, run in-process
 // through RunFigure, the path bench/paper_bench.cc takes. Per figure it
-// checks that every point completes, that every Bohm point carries a real
-// end-to-end latency distribution (lat_count == commits > 0 and
-// 0 < p50 <= p99 <= p999) and names the CC/exec split the engine ran,
-// and, on optimized builds, that fig5's best Bohm 1-thread point clears
-// a throughput floor (BOHM_SMOKE_MIN_TPUT, set by CMakeLists.txt;
-// 0 turns it off).
+// checks that every point completes with one latency sample per commit
+// (lat_count == commits, executor points included), that every Bohm point
+// carries a real end-to-end latency distribution (commits > 0 and
+// 0 < p50 <= p99 <= p999) and names the CC/exec split the engine ran and
+// its client threads, and, on optimized builds, that fig5's best Bohm
+// 1-thread point clears a throughput floor (BOHM_SMOKE_MIN_TPUT, set by
+// CMakeLists.txt; 0 turns it off).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,6 +65,7 @@ TEST_P(PaperBenchSmoke, EveryPointRuns) {
     EXPECT_LE(r.P99Us(), r.P999Us());
     EXPECT_EQ(Param(m.point, "cc_threads"), std::to_string(r.cc_threads));
     EXPECT_EQ(Param(m.point, "exec_threads"), std::to_string(r.exec_threads));
+    EXPECT_EQ(Param(m.point, "clients"), std::to_string(kBohmClients));
     if (Param(m.point, "threads") == "1") {
       best_bohm_1t = std::max(best_bohm_1t, r.Throughput());
     }
