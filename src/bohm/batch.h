@@ -3,9 +3,9 @@
 // Coordination happens once per batch, never per transaction (Section
 // 3.2.4) — and since the move to epoch watermarks, "coordination" means
 // publishing a counter, not parking at a barrier. The sequencer fills a
-// batch slot and announces the batch id through per-stage single-producer/
-// single-consumer feed rings (common/queue.h); every CC thread walks every
-// announced batch in order (deriving parallelism from intra-transaction
+// batch slot and publishes it by advancing the sealed watermark
+// (last_sealed_batch); batch ids are dense, so every CC thread walks every
+// sealed batch in order (deriving parallelism from intra-transaction
 // partitioning, not batch partitioning) and advances its own entry in a
 // WatermarkSet (common/barrier.h) when its partition slice is done.
 // Execution threads may start striping batch b as soon as
@@ -28,9 +28,10 @@
 // then waits for every execution thread to finish p + depth >= c, which
 // orders the stale pointer's last use before the slot is overwritten.
 //
-// The Batch struct itself carries no publication state: the feed-ring
-// push is the sequencer's release publication of the filled slot, and the
-// watermark stores are the CC stage's (docs/CONCURRENCY.md rule R5).
+// The Batch struct itself carries no publication state: the sealed
+// watermark store is the sequencer's release publication of the filled
+// slot, and the CC watermark stores are the CC stage's
+// (docs/CONCURRENCY.md rule R5).
 #pragma once
 
 #include <cstdint>

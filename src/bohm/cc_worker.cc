@@ -6,8 +6,8 @@
 // PartitionOf(key) == cc_id. The decision is purely thread-local and the
 // assignment never changes, so two CC threads never touch the same
 // record and version insertion needs no synchronization. The only
-// cross-thread coordination is one release store per batch: each thread
-// advances its
+// cross-thread coordination is one acquire of the sequencer's sealed
+// watermark and one release store per batch: each thread advances its
 // own cc_watermark_ slot when its partition slice is done and streams
 // straight into the next batch — it never waits for its peers. The
 // execution stage folds min(cc_watermark) to admit batches, so a thread
@@ -21,29 +21,17 @@
 namespace bohm {
 
 void BohmEngine::CcLoop(uint32_t cc_id) {
-  SpscQueue<int64_t>& feed = *cc_feed_[cc_id];
   StallSlot& stall = *cc_stall_[cc_id];
   const BohmTestHooks* hooks = hooks_.get();
-  for (;;) {
-    int64_t b;
-    if (!feed.TryPop(&b)) {
-      // Feed dry: wait for the sequencer to seal the next batch, charging
-      // the wait to this stage's stall attribution. Shutdown: once the
-      // sequencer is done (its done flag is release-stored after the last
-      // feed push), a failed re-poll means the feed is drained for good.
-      const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
-      for (;;) {
-        if (feed.TryPop(&b)) break;
-        if (sealed_.sequencer_done.load(std::memory_order_acquire)) {
-          if (feed.TryPop(&b)) break;
-          stall.ns.Inc(MonotonicNanos() - stall_start);
-          return;
-        }
-        wait.Pause();
-      }
-      stall.ns.Inc(MonotonicNanos() - stall_start);
-    }
+  for (int64_t b = 0;; ++b) {
+    // Wait for the sequencer to seal batch b, charging the wait to this
+    // stage's stall attribution. The done flag is release-stored after
+    // the last seal, so once it is seen last_sealed_batch() is final.
+    AwaitCharged(stall, [&] {
+      return last_sealed_batch() >= b ||
+             sealed_.sequencer_done.load(std::memory_order_acquire);
+    });
+    if (last_sealed_batch() < b) return;
 
     Batch* batch = ring_.Slot(b);
     if (hooks != nullptr && hooks->cc_batch_start) {

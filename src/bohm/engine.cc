@@ -52,19 +52,12 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
   const size_t version_block =
       huge_versions ? std::min(share, kMaxVersionBlockBytes)
                     : Arena::kDefaultBlockBytes;
-  // Feed capacity >= pipeline depth guarantees SealBatch's pushes succeed
-  // (see the member comment in engine.h).
-  const size_t feed_capacity = NextPow2(cfg_.pipeline_depth < 2
-                                            ? 2
-                                            : cfg_.pipeline_depth);
   for (uint32_t i = 0; i < cfg_.cc_threads; ++i) {
     cc_state_.push_back(
         std::make_unique<CcState>(version_block, huge_versions));
-    cc_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     cc_stall_.push_back(std::make_unique<StallSlot>());
   }
   for (uint32_t i = 0; i < cfg_.exec_threads; ++i) {
-    exec_feed_.push_back(std::make_unique<SpscQueue<int64_t>>(feed_capacity));
     exec_stall_.push_back(std::make_unique<StallSlot>());
     exec_log_stall_.push_back(std::make_unique<StallSlot>());
   }
@@ -237,17 +230,20 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
     }
   }
   // Duplicate write-set keys would give one transaction two placeholder
-  // versions of the same record. Quadratic scan, so only for footprints
-  // small enough that it stays cheap (covers every realistic OLTP txn;
-  // the paper's workloads have <= 10 writes).
+  // versions of the same record, and the one execution fills is not the
+  // one published. A quadratic scan is cheapest for the paper's
+  // footprints (<= 10 writes); larger ones take Validate's sort, which
+  // also rejects duplicate reads.
   const auto& writes = set.writes();
-  if (writes.size() <= 64) {
-    for (size_t i = 0; i < writes.size(); ++i) {
-      for (size_t j = i + 1; j < writes.size(); ++j) {
-        if (writes[i].table == writes[j].table &&
-            writes[i].key == writes[j].key) {
-          return Status::Rejected("duplicate key in write set");
-        }
+  if (writes.size() > 64) {
+    Status valid = set.Validate();
+    return valid.ok() ? valid : Status::Rejected(valid.message());
+  }
+  for (size_t i = 0; i < writes.size(); ++i) {
+    for (size_t j = i + 1; j < writes.size(); ++j) {
+      if (writes[i].table == writes[j].table &&
+          writes[i].key == writes[j].key) {
+        return Status::Rejected("duplicate key in write set");
       }
     }
   }

@@ -20,10 +20,11 @@
 //          per-thread completion watermarks from which the GC / slot-reuse
 //          low-watermark is folded (Section 3.3.2).
 //
-// Handoff between stages is wait-free on the hot path: the sequencer
-// announces sealed batch ids through per-consumer SPSC feed rings, and
-// the only inter-stage waits are bounded spins on watermark folds (with
-// yielding back-off under oversubscription).
+// Every hand-off between stages is a watermark: the sequencer publishes
+// the last sealed batch id, CC and exec threads their per-thread
+// progress, and each stage counts batch ids 0, 1, 2, ... itself, waiting
+// (bounded spin, yielding under oversubscription) until its upstream
+// watermark reaches the next one.
 //
 // Reads never block writes; writes may block reads (only on placeholder
 // data not yet produced). No global timestamp counter, no lock manager, no
@@ -42,6 +43,7 @@
 #include "common/barrier.h"
 #include "common/macros.h"
 #include "common/queue.h"
+#include "common/spin.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "bohm/batch.h"
@@ -261,6 +263,16 @@ class BohmEngine {
   struct alignas(kCacheLineSize) StallSlot {
     RelaxedCounter ns;
   };
+  /// Spins until `ready()` holds and charges the wait to `slot`; returns
+  /// without reading the clock when `ready()` already holds.
+  template <typename Ready>
+  static void AwaitCharged(StallSlot& slot, Ready&& ready) {
+    if (ready()) return;
+    const uint64_t start = MonotonicNanos();
+    SpinWait wait;
+    while (!ready()) wait.Pause();
+    slot.ns.Inc(MonotonicNanos() - start);
+  }
 
   // --- sequencer stage (sequencer.cc) ---
   void SequencerLoop();
@@ -322,12 +334,6 @@ class BohmEngine {
   WatermarkSet cc_watermark_;
   /// Per-thread execution progress; Min() is Watermark() (GC/slot reuse).
   WatermarkSet exec_watermark_;
-  /// Sealed-batch feed rings, one SPSC pair per consumer thread
-  /// (sequencer is the sole producer). Capacity >= pipeline depth, so a
-  /// push can never fail: at most `depth` sealed batches are un-consumed
-  /// thanks to the sequencer's slot-reuse back-pressure.
-  std::vector<std::unique_ptr<SpscQueue<int64_t>>> cc_feed_;
-  std::vector<std::unique_ptr<SpscQueue<int64_t>>> exec_feed_;
   StatsRegistry stats_;  // one slice per execution thread
   StallSlot seq_stall_;
   /// Sequencer waiting for input with nothing to seal (starved, not busy).

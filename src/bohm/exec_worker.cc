@@ -61,41 +61,23 @@ class BohmOps final : public TxnOps {
 };
 
 void BohmEngine::ExecLoop(uint32_t exec_id) {
-  SpscQueue<int64_t>& feed = *exec_feed_[exec_id];
   StallSlot& stall = *exec_stall_[exec_id];
   const BohmTestHooks* hooks = hooks_.get();
-  for (;;) {
-    // Pop the next sealed batch id from this thread's feed ring (or
-    // return once the sequencer is done and the feed is drained).
-    int64_t b;
-    if (!feed.TryPop(&b)) {
-      const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
-      for (;;) {
-        if (feed.TryPop(&b)) break;
-        if (sealed_.sequencer_done.load(std::memory_order_acquire)) {
-          if (feed.TryPop(&b)) break;
-          stall.ns.Inc(MonotonicNanos() - stall_start);
-          return;
-        }
-        wait.Pause();
-      }
-      stall.ns.Inc(MonotonicNanos() - stall_start);
-    }
-
+  for (int64_t b = 0;; ++b) {
     // Admission: execution may enter batch b only once every CC thread
     // has finished its slice of b — min(cc_watermark) >= b. The acquire
-    // fold pairs with each CC thread's release watermark store, so all
-    // placeholders and annotations of batch b are visible here (rule R5).
-    // This wait terminates without extra shutdown plumbing: CC threads
-    // drain the same sealed-batch feed before exiting, so their
-    // watermarks always reach b eventually.
-    if (cc_watermark_.Min() < b) {
-      const uint64_t stall_start = MonotonicNanos();
-      SpinWait wait;
-      while (cc_watermark_.Min() < b) wait.Pause();
-      stall.ns.Inc(MonotonicNanos() - stall_start);
-    }
+    // fold pairs with each CC thread's release watermark store, which
+    // follows that thread's acquire of the sealed watermark, so the
+    // sequencer's slot writes and all placeholders and annotations of
+    // batch b are visible here (rule R5). CC threads finish every sealed
+    // batch before they exit, so the fold reaches b unless the sequencer
+    // is done and never sealed it.
+    AwaitCharged(stall, [&] {
+      return cc_watermark_.Min() >= b ||
+             (sealed_.sequencer_done.load(std::memory_order_acquire) &&
+              last_sealed_batch() < b);
+    });
+    if (cc_watermark_.Min() < b) return;
 
     // Durable-ack gate (docs/CONCURRENCY.md rule R6): a batch may execute
     // — and therefore acknowledge commits — only once its log record is
@@ -107,15 +89,9 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     if (log_writer_ != nullptr &&
         !life_.replaying.load(std::memory_order_acquire)) {
       const uint64_t need = life_.log_base + static_cast<uint64_t>(b);
-      if (log_writer_->durable_seqno() < need && !log_writer_->failed()) {
-        const uint64_t stall_start = MonotonicNanos();
-        SpinWait wait;
-        while (log_writer_->durable_seqno() < need &&
-               !log_writer_->failed()) {
-          wait.Pause();
-        }
-        exec_log_stall_[exec_id]->ns.Inc(MonotonicNanos() - stall_start);
-      }
+      AwaitCharged(*exec_log_stall_[exec_id], [&] {
+        return log_writer_->durable_seqno() >= need || log_writer_->failed();
+      });
     }
 
     Batch* batch = ring_.Slot(b);

@@ -4,7 +4,6 @@
 // single-writer operation, in contrast to the global fetch-and-increment
 // counters of conventional multi-version systems (Section 2.1).
 
-#include <cassert>
 #include <utility>
 
 #include "common/spin.h"
@@ -44,22 +43,10 @@ void BohmEngine::LogSealedBatch(const Batch& batch, int64_t id) {
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
   batch->id = id;
   LogSealedBatch(*batch, id);
-  // Publish the sealed batch by announcing its id through every
-  // consumer's SPSC feed ring: the ring's release store is what makes the
-  // slot contents the sequencer just wrote visible to that consumer
-  // (docs/CONCURRENCY.md rule R5). The pushes cannot fail — feed capacity
-  // is at least the pipeline depth and the slot-reuse back-pressure above
-  // bounds un-consumed sealed batches by the depth.
-  for (auto& feed : cc_feed_) {
-    bool pushed = feed->TryPush(id);
-    assert(pushed && "cc feed overflow: back-pressure invariant broken");
-    (void)pushed;
-  }
-  for (auto& feed : exec_feed_) {
-    bool pushed = feed->TryPush(id);
-    assert(pushed && "exec feed overflow: back-pressure invariant broken");
-    (void)pushed;
-  }
+  // Publish the sealed batch: this release store orders every slot write
+  // the sequencer made before it, and CC threads admit batch `id` by
+  // acquiring it (docs/CONCURRENCY.md rule R5). Ids are dense, so each
+  // consumer counts them itself.
   sealed_.last_sealed_batch.store(id, std::memory_order_release);
 }
 
@@ -67,10 +54,9 @@ void BohmEngine::SealBatch(Batch* batch, int64_t id) {
 // sequencer thread, on cache lines no other thread writes
 // (docs/CONCURRENCY.md, "single-writer ownership" and rule R9);
 // downstream stages learn about a batch solely through SealBatch's
-// release stores, which order everything the sequencer wrote into the
-// batch before them.
+// release store, which orders everything the sequencer wrote into the
+// batch before it.
 void BohmEngine::SequencerLoop() {
-  SpinWait wait;
   for (;;) {
     const int64_t id = seq_.next_batch_id;
     // Back-pressure: batch id may enter the pipeline only once every
@@ -81,19 +67,14 @@ void BohmEngine::SequencerLoop() {
     // attribution.
     Batch* batch = ring_.Slot(id);
     const int64_t must_be_done = id - static_cast<int64_t>(ring_.depth());
-    if (Watermark() < must_be_done) {
-      const uint64_t stall_start = MonotonicNanos();
-      wait.Reset();
-      while (Watermark() < must_be_done) wait.Pause();
-      seq_stall_.ns.Inc(MonotonicNanos() - stall_start);
-    }
+    AwaitCharged(seq_stall_, [&] { return Watermark() >= must_be_done; });
     batch->ResetForReuse();
 
     // Fill the batch. Seal early when the input queue runs dry so that a
     // trickle of transactions does not wait for a full batch.
     bool stop_after = false;
     uint64_t idle_mark = 0;  // last idle poll's clock; 0 while busy
-    wait.Reset();
+    SpinWait wait;
     while (batch->txns.size() < cfg_.batch_size) {
       InputItem item;
       if (input_.TryPop(&item)) {

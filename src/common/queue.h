@@ -3,9 +3,8 @@
 //  * MpmcQueue — Vyukov's algorithm; the input queue between clients and
 //    the Bohm sequencer thread, also used by the harness drivers.
 //  * SpscQueue — single-producer/single-consumer ring with cache-line-
-//    padded indices and cached peer indices; the per-stage handoff rings
-//    of the streamed Bohm pipeline (sequencer -> each CC thread,
-//    sequencer -> each execution thread).
+//    padded indices and cached peer indices; the ring carrying encoded
+//    batches from the Bohm sequencer to the log-writer thread.
 //
 // Capacities must be powers of two.
 #pragma once

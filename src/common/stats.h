@@ -86,7 +86,7 @@ struct StatsSnapshot {
   uint64_t seq_stall_ns = 0;   ///< sequencer waiting for slot reuse
   uint64_t seq_idle_ns = 0;    ///< sequencer waiting for input, batch empty
   uint64_t cc_stall_ns = 0;    ///< CC threads waiting for sealed batches
-  uint64_t exec_stall_ns = 0;  ///< exec threads waiting for feed/CC watermark
+  uint64_t exec_stall_ns = 0;  ///< exec threads waiting for the CC watermark
   /// Durable-log accounting (zero when durability is off). Monotone, like
   /// the stall counters, so a measurement window is the snapshot delta.
   uint64_t log_stall_ns = 0;  ///< pipeline time blocked on the log

@@ -211,7 +211,7 @@ std::vector<Point> AblDurability(const Scale& s) {
       std::vector<Mode>{{"nolog", false, FsyncPolicy::kNone, 0},
                         {"fsync=none", true, FsyncPolicy::kNone, 0},
                         {"fsync=group8", true, FsyncPolicy::kGroup, 8},
-                        {"fsync=batch", true, FsyncPolicy::kBatch, 0}},
+                        {"fsync=batch", true, FsyncPolicy::kGroup, 1}},
       [](const Mode& m, BohmConfig& cfg) {
         cfg.durability.enabled = m.durable;
         cfg.durability.fsync_policy = m.policy;

@@ -110,9 +110,6 @@ void LogWriter::WriterLoop() {
           durable_seqno_.store(p.seqno, std::memory_order_release);
           unsynced = 0;
           break;
-        case FsyncPolicy::kBatch:
-          sync_now();
-          break;
         case FsyncPolicy::kGroup:
           if (unsynced >= opts_.group_size) sync_now();
           break;

@@ -31,8 +31,8 @@ namespace bohm {
 /// When the log writer calls fsync.
 enum class FsyncPolicy {
   kNone,   // never (OS decides); "durable" means handed to the kernel
-  kBatch,  // after every batch record — strongest, slowest
-  kGroup,  // after `group_size` records, or when the ring runs dry
+  kGroup,  // after `group_size` records, or when the ring runs dry; a
+           // group of 1 syncs every batch record (strongest, slowest)
 };
 
 struct LogWriterOptions {

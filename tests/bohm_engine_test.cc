@@ -67,22 +67,32 @@ TEST(BohmEngineTest, SubmitUnknownTableRejected) {
 }
 
 namespace {
-/// Declares the same key twice in its write set — a malformed footprint.
+/// Declares key 1 twice in a write set of `width` elements (keys 1 ..
+/// width - 1, then 1 again) — a malformed footprint.
 class DuplicateWriteProcedure final : public StoredProcedure {
  public:
-  DuplicateWriteProcedure() {
-    set_.AddWrite(0, 1);
+  explicit DuplicateWriteProcedure(Key width) {
+    for (Key k = 1; k < width; ++k) set_.AddWrite(0, k);
     set_.AddWrite(0, 1);
   }
-  void Run(TxnOps& ops) override { (void)ops.Write(0, 1); }
+  void Run(TxnOps& ops) override {
+    for (const RecordId& rec : set_.writes()) {
+      uint64_t v = 7;
+      std::memcpy(ops.Write(rec.table, rec.key), &v, sizeof(v));
+    }
+  }
 };
 }  // namespace
 
 TEST(BohmEngineTest, SubmitDuplicateWriteRejected) {
-  BohmEngine engine(OneTable(4), BohmConfig{});
+  BohmEngine engine(OneTable(128), BohmConfig{});
   ASSERT_TRUE(engine.Start().ok());
-  Status st = engine.Submit(std::make_unique<DuplicateWriteProcedure>());
-  EXPECT_TRUE(st.IsRejected()) << st.ToString();
+  // 2 writes take the quadratic scan, 65 the sorted check above it.
+  for (Key width : {Key{2}, Key{65}}) {
+    Status st =
+        engine.Submit(std::make_unique<DuplicateWriteProcedure>(width));
+    EXPECT_TRUE(st.IsRejected()) << "width " << width << ": " << st.ToString();
+  }
   // The engine keeps running after a rejection.
   ASSERT_TRUE(engine.Submit(std::make_unique<PutProcedure>(0, 1, 2)).ok());
   engine.WaitForIdle();

@@ -216,7 +216,8 @@ INSTANTIATE_TEST_SUITE_P(Depths, StreamedSmallBankEquivalence,
 
 // ---------------------------------------------------------------------------
 // (b) Execution never enters a batch the CC watermark has not passed —
-// even with a CC thread frozen mid-batch.
+// even with a CC thread frozen mid-batch — and CC never starts a batch
+// the sequencer has not sealed.
 // ---------------------------------------------------------------------------
 
 TEST(BohmStreamingTest, ExecNeverObservesBatchBelowCcWatermark) {
@@ -234,9 +235,17 @@ TEST(BohmStreamingTest, ExecNeverObservesBatchBelowCcWatermark) {
   Gate release;
   std::atomic<bool> frozen{false};
   std::atomic<bool> watermark_violated{false};
+  std::atomic<bool> seal_violated{false};
   std::atomic<int64_t> max_exec_batch{-1};
   auto hooks = std::make_shared<BohmTestHooks>();
   hooks->cc_batch_start = [&](uint32_t cc_id, int64_t b) {
+    // The CC admission invariant: the sealed watermark (monotone) has
+    // reached b before any CC thread starts it. On a violation, wait for
+    // the seal so the test reports it instead of racing the sequencer.
+    if (engine.last_sealed_batch() < b) {
+      seal_violated.store(true, std::memory_order_release);
+      (void)WaitUntil([&] { return engine.last_sealed_batch() >= b; });
+    }
     if (cc_id == 0 && b == kFreezeBatch) {
       frozen.store(true, std::memory_order_release);
       release.Wait();  // CC thread 0 parks here, mid-batch
@@ -274,10 +283,12 @@ TEST(BohmStreamingTest, ExecNeverObservesBatchBelowCcWatermark) {
   EXPECT_EQ(engine.Watermark(), kFreezeBatch - 1);
   EXPECT_LE(max_exec_batch.load(), kFreezeBatch - 1);
   EXPECT_FALSE(watermark_violated.load());
+  EXPECT_FALSE(seal_violated.load()) << "CC started a batch before its seal";
 
   release.Open();
   engine.WaitForIdle();
   EXPECT_FALSE(watermark_violated.load());
+  EXPECT_FALSE(seal_violated.load()) << "CC started a batch before its seal";
 
   uint64_t total = 0;
   for (Key k = 0; k < 16; ++k) {
@@ -449,15 +460,15 @@ TEST(BohmStreamingTest, StallCountersAttributePipelineWait) {
   ASSERT_TRUE(WaitUntil([&] { return frozen.load(); }));
   // While frozen: the exec thread waits on the CC watermark for batch 1
   // (exec stall); the sequencer finishes sealing up to the depth bound
-  // and then waits for slot reuse (sequencer stall); CC thread 1 drains
-  // its feed and waits for more (CC stall).
+  // and then waits for slot reuse (sequencer stall); CC thread 1 runs up
+  // to the last sealed batch and waits for the next seal (CC stall).
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   release.Open();
   engine.WaitForIdle();
 
   const StatsSnapshot s = engine.Stats();
   EXPECT_GT(s.seq_stall_ns, 0u) << "sequencer back-pressure not attributed";
-  EXPECT_GT(s.cc_stall_ns, 0u) << "CC feed-dry wait not attributed";
+  EXPECT_GT(s.cc_stall_ns, 0u) << "CC seal wait not attributed";
   EXPECT_GT(s.exec_stall_ns, 0u) << "exec watermark wait not attributed";
   engine.Stop();
 }
@@ -509,20 +520,25 @@ TEST(BohmStreamingTest, WatermarksAreMonotoneAndOrdered) {
   std::atomic<bool> stop{false};
   std::atomic<bool> exec_regressed{false};
   std::atomic<bool> cc_regressed{false};
+  std::atomic<bool> sealed_regressed{false};
   std::atomic<bool> order_violated{false};
   std::thread monitor([&] {
-    int64_t last_exec = INT64_MIN, last_cc = INT64_MIN;
+    int64_t last_exec = INT64_MIN, last_cc = INT64_MIN,
+            last_sealed = INT64_MIN;
     while (!stop.load(std::memory_order_acquire)) {
-      // Read exec first: exec <= cc holds for reads in this order because
-      // the exec fold can only admit batches the (monotone) CC fold
-      // already passed.
+      // Read downstream first: exec <= cc <= sealed holds for reads in
+      // this order because each stage only admits batches its (monotone)
+      // upstream watermark already passed.
       const int64_t e = engine.Watermark();
       const int64_t c = engine.CcWatermark();
+      const int64_t s = engine.last_sealed_batch();
       if (e < last_exec) exec_regressed.store(true);
       if (c < last_cc) cc_regressed.store(true);
-      if (e > c) order_violated.store(true);
+      if (s < last_sealed) sealed_regressed.store(true);
+      if (e > c || c > s) order_violated.store(true);
       last_exec = e;
       last_cc = c;
+      last_sealed = s;
       std::this_thread::yield();
     }
   });
@@ -540,8 +556,9 @@ TEST(BohmStreamingTest, WatermarksAreMonotoneAndOrdered) {
 
   EXPECT_FALSE(exec_regressed.load()) << "execution watermark regressed";
   EXPECT_FALSE(cc_regressed.load()) << "CC watermark regressed";
+  EXPECT_FALSE(sealed_regressed.load()) << "sealed watermark regressed";
   EXPECT_FALSE(order_violated.load())
-      << "execution watermark overtook the CC watermark";
+      << "a watermark overtook its upstream (exec <= CC <= sealed)";
   engine.Stop();
 }
 

@@ -106,7 +106,7 @@ class RecoveryTest : public ::testing::Test {
 
   static BohmConfig Config(const std::string& dir,
                            FsyncPolicy policy = FsyncPolicy::kNone,
-                           LogEnv* env = nullptr) {
+                           LogEnv* env = nullptr, uint32_t group_size = 8) {
     BohmConfig cfg;
     cfg.cc_threads = 2;
     cfg.exec_threads = 2;
@@ -115,6 +115,7 @@ class RecoveryTest : public ::testing::Test {
     cfg.durability.dir = dir;
     cfg.durability.fsync_policy = policy;
     cfg.durability.env = env;
+    cfg.durability.group_size = group_size;
     return cfg;
   }
 
@@ -501,7 +502,7 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
   fault.CrashAtSync(3);
   {
     auto engine =
-        MakeEngine(Config(Dir("log"), FsyncPolicy::kBatch, &fault));
+        MakeEngine(Config(Dir("log"), FsyncPolicy::kGroup, &fault, 1));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
     engine->WaitForIdle();
@@ -513,7 +514,7 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
   LogScanStats scan;
   ASSERT_TRUE(
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
-  // kBatch policy syncs once per record: exactly syncs 1 and 2 persisted.
+  // A group of 1 syncs once per record: exactly syncs 1 and 2 persisted.
   ASSERT_EQ(batches.size(), 2u);
   auto oracle = FreshOracle();
   ApplyBatches(&oracle, batches);
@@ -565,7 +566,7 @@ TEST_F(RecoveryTest, DiskFullDegradesGracefully) {
   bool rejected = false;
   {
     auto engine =
-        MakeEngine(Config(Dir("log"), FsyncPolicy::kBatch, &fault));
+        MakeEngine(Config(Dir("log"), FsyncPolicy::kGroup, &fault, 1));
     ASSERT_TRUE(engine->Start().ok());
     for (uint64_t i = 0; i < 20000 && !rejected; ++i) {
       Status st = engine->Submit(WorkloadTxn(i));

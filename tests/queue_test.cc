@@ -103,8 +103,8 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumersConserveSum) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue — the per-stage pipeline feed behind the streamed Bohm
-// handoff (sequencer -> CC / exec batch-id rings).
+// SpscQueue — the ring carrying encoded batches from the Bohm sequencer
+// to the log-writer thread (src/log/log_writer.h).
 // ---------------------------------------------------------------------------
 
 TEST(SpscQueueTest, PushPopSingleThread) {
