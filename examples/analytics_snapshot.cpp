@@ -79,7 +79,7 @@ int main() {
     }
     std::vector<Key> all(kRows);
     for (Key k = 0; k < kRows; ++k) all[k] = k;
-    scans.push_back(std::make_unique<YcsbScanProcedure>(std::move(all)));
+    scans.push_back(std::make_unique<YcsbScanProcedure>(all));
     (void)engine.SubmitBorrowed(scans.back().get());
   }
   engine.WaitForIdle();

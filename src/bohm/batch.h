@@ -46,10 +46,8 @@
 namespace bohm {
 
 /// Procedures ahead of the one being destroyed at which
-/// Batch::ResetForReuse prefetches the procedure object, and then, once
-/// that line has arrived, its read/write-set buffers.
+/// Batch::ResetForReuse prefetches the procedure object.
 inline constexpr size_t kDestroyObjectAhead = 8;
-inline constexpr size_t kDestroyBuffersAhead = 4;
 
 struct Batch {
   int64_t id = -1;
@@ -67,23 +65,19 @@ struct Batch {
 
   /// Destroys the owned procedures of the slot's previous generation.
   /// They were allocated by client threads and last touched by exec
-  /// threads, so each delete misses on the object and on both set
-  /// buffers, and frees them (free writes into every block). A two-stage
-  /// prefetch-for-write lookahead, like CcBatchPrefetched's, overlaps
-  /// those misses: the object kDestroyObjectAhead procedures ahead, its
-  /// buffers kDestroyBuffersAhead ahead (reading their addresses from
-  /// the object prefetched earlier), delete the current one.
+  /// threads, so each delete misses on the object, and free writes into
+  /// it. A prefetch-for-write kDestroyObjectAhead procedures ahead
+  /// overlaps those misses; it covers the whole StoredProcedure, so the
+  /// inline footprint (ReadWriteSet::kInlineRecords) too. A footprint that
+  /// spilled has one more block, which is not prefetched: a second stage
+  /// that read its address from the prefetched object measured no faster
+  /// on either perfbench workload.
   void DestroyProcs() {
     const size_t n = procs.size();
     for (size_t i = 0; i < n; ++i) {
       if (i + kDestroyObjectAhead < n) {
         PrefetchWriteRange(procs[i + kDestroyObjectAhead].get(),
                            sizeof(StoredProcedure));
-      }
-      if (i + kDestroyBuffersAhead < n) {
-        const ReadWriteSet& set = procs[i + kDestroyBuffersAhead]->rwset();
-        if (!set.reads().empty()) PrefetchWrite(set.reads().data());
-        if (!set.writes().empty()) PrefetchWrite(set.writes().data());
       }
       procs[i].reset();
     }

@@ -267,10 +267,26 @@ class BohmEngine {
   /// without reading the clock when `ready()` already holds.
   template <typename Ready>
   static void AwaitCharged(StallSlot& slot, Ready&& ready) {
+    AwaitCharged(slot, ready, [] { return true; });
+  }
+  /// As above for a wait on two hand-offs in series: the spin budget
+  /// starts afresh once `upstream()` is first seen to hold, so a long wait
+  /// on the first hand-off (which backs off to yield) does not leave the
+  /// thread reacting to the second at yield pace.
+  template <typename Ready, typename Upstream>
+  static void AwaitCharged(StallSlot& slot, Ready&& ready,
+                           Upstream&& upstream) {
     if (ready()) return;
     const uint64_t start = MonotonicNanos();
     SpinWait wait;
-    while (!ready()) wait.Pause();
+    bool upstream_seen = upstream();
+    while (!ready()) {
+      if (!upstream_seen && upstream()) {
+        upstream_seen = true;
+        wait.Reset();
+      }
+      wait.Pause();
+    }
     slot.ns.Inc(MonotonicNanos() - start);
   }
 

@@ -71,12 +71,17 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // sequencer's slot writes and all placeholders and annotations of
     // batch b are visible here (rule R5). CC threads finish every sealed
     // batch before they exit, so the fold reaches b unless the sequencer
-    // is done and never sealed it.
-    AwaitCharged(stall, [&] {
-      return cc_watermark_.Min() >= b ||
-             (sealed_.sequencer_done.load(std::memory_order_acquire) &&
-              last_sealed_batch() < b);
-    });
+    // is done and never sealed it. The seal of b is the upstream
+    // hand-off: once it is seen, the spin budget restarts, so exec reacts
+    // to CC finishing b at pause pace however long the seal took.
+    AwaitCharged(
+        stall,
+        [&] {
+          return cc_watermark_.Min() >= b ||
+                 (sealed_.sequencer_done.load(std::memory_order_acquire) &&
+                  last_sealed_batch() < b);
+        },
+        [&] { return last_sealed_batch() >= b; });
     if (cc_watermark_.Min() < b) return;
 
     // Durable-ack gate (docs/CONCURRENCY.md rule R6): a batch may execute

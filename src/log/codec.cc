@@ -65,7 +65,7 @@ Status DecodeYcsbRmw(Slice* in, ProcedurePtr* out) {
     if (!in->GetFixed64(&k)) return Malformed("YcsbRmw key list");
     keys.push_back(static_cast<Key>(k));
   }
-  *out = std::make_unique<YcsbRmwProcedure>(std::move(keys), record_size);
+  *out = std::make_unique<YcsbRmwProcedure>(keys, record_size);
   return Status::OK();
 }
 

@@ -4,6 +4,10 @@
 // deducible write-set (Section 3); this maps exactly onto the stored-
 // procedure style used by performance-sensitive OLTP applications, which
 // the paper calls out as the intended interface.
+//
+// A procedure carries its declared footprint (`set_`, txn/rwset.h) inside
+// the object, so a transaction whose footprint fits the inline records is
+// a single heap allocation from Submit until the engine destroys it.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,9 @@ namespace bohm {
 inline constexpr uint32_t kNotLoggable = 0;
 
 /// Base class for transactions. Subclasses populate `set_` in their
-/// constructor (the declared footprint) and implement Run().
+/// constructor (the declared footprint; a subclass that knows its size
+/// calls set_.Reserve first) and implement Run(). Run() may read its keys
+/// back from `set_` instead of keeping a second copy.
 ///
 /// Contract for Run():
 ///  * It may only access records declared in rwset(). Engines are allowed

@@ -1,26 +1,56 @@
 #include "txn/rwset.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 namespace bohm {
 namespace {
 
-bool HasDuplicates(std::vector<RecordId> v) {
+bool HasDuplicates(std::span<const RecordId> set) {
+  std::vector<RecordId> v(set.begin(), set.end());
   std::sort(v.begin(), v.end());
   return std::adjacent_find(v.begin(), v.end()) != v.end();
 }
 
 }  // namespace
 
+ReadWriteSet::ReadWriteSet(const ReadWriteSet& other) { *this = other; }
+
+ReadWriteSet& ReadWriteSet::operator=(const ReadWriteSet& other) {
+  if (this == &other) return *this;
+  n_reads_ = 0;
+  n_writes_ = 0;
+  Reserve(other.size());
+  std::memcpy(data_, other.data_, other.size() * sizeof(RecordId));
+  n_reads_ = other.n_reads_;
+  n_writes_ = other.n_writes_;
+  return *this;
+}
+
+ReadWriteSet::~ReadWriteSet() {
+  if (spilled()) ::operator delete(data_);
+}
+
+void ReadWriteSet::Reallocate(uint32_t capacity) {
+  auto* buffer =
+      static_cast<RecordId*>(::operator new(capacity * sizeof(RecordId)));
+  std::memcpy(buffer, data_, size() * sizeof(RecordId));
+  if (spilled()) ::operator delete(data_);
+  data_ = buffer;
+  capacity_ = capacity;
+}
+
 bool ReadWriteSet::IsWritten(const RecordId& id) const {
-  return std::find(writes_.begin(), writes_.end(), id) != writes_.end();
+  const auto w = writes();
+  return std::find(w.begin(), w.end(), id) != w.end();
 }
 
 Status ReadWriteSet::Validate() const {
-  if (HasDuplicates(reads_)) {
+  if (HasDuplicates(reads())) {
     return Status::InvalidArgument("duplicate record in read set");
   }
-  if (HasDuplicates(writes_)) {
+  if (HasDuplicates(writes())) {
     return Status::InvalidArgument("duplicate record in write set");
   }
   return Status::OK();
@@ -28,9 +58,9 @@ Status ReadWriteSet::Validate() const {
 
 std::vector<std::pair<RecordId, AccessMode>> ReadWriteSet::LockOrder() const {
   std::vector<std::pair<RecordId, AccessMode>> order;
-  order.reserve(reads_.size() + writes_.size());
-  for (const RecordId& r : reads_) order.emplace_back(r, AccessMode::kRead);
-  for (const RecordId& w : writes_) order.emplace_back(w, AccessMode::kWrite);
+  order.reserve(size());
+  for (const RecordId& r : reads()) order.emplace_back(r, AccessMode::kRead);
+  for (const RecordId& w : writes()) order.emplace_back(w, AccessMode::kWrite);
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first < b.first;

@@ -20,22 +20,28 @@ Catalog YcsbCatalog(const YcsbConfig& cfg) {
   return catalog;
 }
 
-YcsbRmwProcedure::YcsbRmwProcedure(std::vector<Key> keys,
+YcsbRmwProcedure::YcsbRmwProcedure(const std::vector<Key>& keys,
                                    uint32_t record_size)
-    : keys_(std::move(keys)), record_size_(record_size) {
-  for (Key k : keys_) set_.AddRmw(kYcsbTableId, k);
+    : record_size_(record_size) {
+  set_.Reserve(static_cast<uint32_t>(2 * keys.size()));
+  for (Key k : keys) set_.AddRmw(kYcsbTableId, k);
 }
 
 uint32_t YcsbRmwProcedure::codec_id() const { return kCodecYcsbRmw; }
 
 void YcsbRmwProcedure::EncodeArgs(std::string* out) const {
   AppendFixed32(out, record_size_);
-  AppendFixed32(out, static_cast<uint32_t>(keys_.size()));
-  for (Key k : keys_) AppendFixed64(out, static_cast<uint64_t>(k));
+  const auto keys = set_.reads();
+  AppendFixed32(out, static_cast<uint32_t>(keys.size()));
+  for (const RecordId& r : keys) {
+    AppendFixed64(out, static_cast<uint64_t>(r.key));
+  }
 }
 
 void YcsbRmwProcedure::Run(TxnOps& ops) {
-  for (Key k : keys_) {
+  // The read set lists the keys in constructor order.
+  for (const RecordId& r : set_.reads()) {
+    const Key k = r.key;
     const void* old = ops.Read(kYcsbTableId, k);
     void* buf = ops.Write(kYcsbTableId, k);
     if (buf == nullptr) return;
@@ -53,29 +59,30 @@ void YcsbRmwProcedure::Run(TxnOps& ops) {
   }
 }
 
-YcsbMixedProcedure::YcsbMixedProcedure(std::vector<Key> keys,
+YcsbMixedProcedure::YcsbMixedProcedure(const std::vector<Key>& keys,
                                        uint32_t rmw_count,
                                        uint32_t record_size)
-    : keys_(std::move(keys)),
-      rmw_count_(rmw_count),
-      record_size_(record_size) {
-  for (uint32_t i = 0; i < keys_.size(); ++i) {
+    : rmw_count_(rmw_count), record_size_(record_size) {
+  const auto n = static_cast<uint32_t>(keys.size());
+  set_.Reserve(n + std::min(rmw_count_, n));
+  for (uint32_t i = 0; i < n; ++i) {
     if (i < rmw_count_) {
-      set_.AddRmw(kYcsbTableId, keys_[i]);
+      set_.AddRmw(kYcsbTableId, keys[i]);
     } else {
-      set_.AddRead(kYcsbTableId, keys_[i]);
+      set_.AddRead(kYcsbTableId, keys[i]);
     }
   }
 }
 
 void YcsbMixedProcedure::Run(TxnOps& ops) {
   observed_sum_ = 0;
-  for (uint32_t i = 0; i < keys_.size(); ++i) {
-    const void* old = ops.Read(kYcsbTableId, keys_[i]);
+  const auto keys = set_.reads();  // constructor order: RMWs first
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    const void* old = ops.Read(kYcsbTableId, keys[i].key);
     uint64_t counter = 0;
     if (old != nullptr) std::memcpy(&counter, old, sizeof(counter));
     if (i < rmw_count_) {
-      void* buf = ops.Write(kYcsbTableId, keys_[i]);
+      void* buf = ops.Write(kYcsbTableId, keys[i].key);
       if (buf == nullptr) return;
       if (old != nullptr) {
         std::memcpy(buf, old, record_size_);
@@ -90,15 +97,15 @@ void YcsbMixedProcedure::Run(TxnOps& ops) {
   }
 }
 
-YcsbScanProcedure::YcsbScanProcedure(std::vector<Key> keys)
-    : keys_(std::move(keys)) {
-  for (Key k : keys_) set_.AddRead(kYcsbTableId, k);
+YcsbScanProcedure::YcsbScanProcedure(const std::vector<Key>& keys) {
+  set_.Reserve(static_cast<uint32_t>(keys.size()));
+  for (Key k : keys) set_.AddRead(kYcsbTableId, k);
 }
 
 void YcsbScanProcedure::Run(TxnOps& ops) {
   observed_sum_ = 0;
-  for (Key k : keys_) {
-    const void* p = ops.Read(kYcsbTableId, k);
+  for (const RecordId& r : set_.reads()) {
+    const void* p = ops.Read(kYcsbTableId, r.key);
     uint64_t counter = 0;
     if (p != nullptr) std::memcpy(&counter, p, sizeof(counter));
     observed_sum_ += counter;

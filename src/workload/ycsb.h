@@ -53,20 +53,19 @@ Status YcsbLoad(const YcsbConfig& cfg, LoadFn&& sink) {
 /// 64-bit counter prefix, write back the full record.
 class YcsbRmwProcedure final : public StoredProcedure {
  public:
-  YcsbRmwProcedure(std::vector<Key> keys, uint32_t record_size);
+  YcsbRmwProcedure(const std::vector<Key>& keys, uint32_t record_size);
   void Run(TxnOps& ops) override;
   uint32_t codec_id() const override;
   void EncodeArgs(std::string* out) const override;
 
  private:
-  std::vector<Key> keys_;
   uint32_t record_size_;
 };
 
 /// 2RMW-8R: keys[0..rmw_count) are RMWs, the rest are plain reads.
 class YcsbMixedProcedure final : public StoredProcedure {
  public:
-  YcsbMixedProcedure(std::vector<Key> keys, uint32_t rmw_count,
+  YcsbMixedProcedure(const std::vector<Key>& keys, uint32_t rmw_count,
                      uint32_t record_size);
   void Run(TxnOps& ops) override;
 
@@ -75,7 +74,6 @@ class YcsbMixedProcedure final : public StoredProcedure {
   uint64_t observed_sum() const { return observed_sum_; }
 
  private:
-  std::vector<Key> keys_;
   uint32_t rmw_count_;
   uint32_t record_size_;
   uint64_t observed_sum_ = 0;
@@ -85,13 +83,12 @@ class YcsbMixedProcedure final : public StoredProcedure {
 /// prefixes.
 class YcsbScanProcedure final : public StoredProcedure {
  public:
-  explicit YcsbScanProcedure(std::vector<Key> keys);
+  explicit YcsbScanProcedure(const std::vector<Key>& keys);
   void Run(TxnOps& ops) override;
 
   uint64_t observed_sum() const { return observed_sum_; }
 
  private:
-  std::vector<Key> keys_;
   uint64_t observed_sum_ = 0;
 };
 

@@ -260,7 +260,7 @@ TEST(BohmIntegrationTest, LongScanObservesInvariantUnderUpdates) {
     if (i % 10 == 5) {
       std::vector<Key> all;
       for (Key k = 0; k < cfg.record_count; ++k) all.push_back(k);
-      scans.push_back(std::make_unique<YcsbScanProcedure>(std::move(all)));
+      scans.push_back(std::make_unique<YcsbScanProcedure>(all));
       ASSERT_TRUE(engine.SubmitBorrowed(scans.back().get()).ok());
     } else {
       Key src = rng.Uniform(cfg.record_count);
