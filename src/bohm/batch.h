@@ -54,7 +54,7 @@ struct Batch {
   std::vector<BohmTxn*> txns;
   /// Owns the procedures for the lifetime of the batch slot generation.
   std::vector<ProcedurePtr> procs;
-  /// Holds the BohmTxn objects and their read/write ref arrays.
+  /// Holds the BohmTxn objects and their version arrays.
   Arena arena{1u << 16};
 
   void ResetForReuse() {

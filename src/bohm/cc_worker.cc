@@ -15,6 +15,8 @@
 // this stage (the barrier this replaces parked every CC thread once per
 // batch).
 
+#include <span>
+
 #include "common/spin.h"
 #include "bohm/engine.h"
 
@@ -39,18 +41,22 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
     }
 
     // Recycle versions whose retirement batch the execution layer has
-    // fully passed (Condition 3, Section 3.3.2). Amortized once per batch.
-    if (cfg_.gc_enabled) DrainRetired(cc_id);
+    // fully passed (Condition 3, Section 3.3.2), then open batch b's group
+    // of retirees. Amortized once per batch.
+    if (cfg_.gc_enabled) {
+      DrainRetired(cc_id);
+      cc_state_[cc_id]->retired.PushBatch(b);
+    }
 
     if (prefetch_) {
-      CcBatchPrefetched(cc_id, *batch, b);
+      CcBatchPrefetched(cc_id, *batch);
     } else {
-      // Skip transactions the sequencer's pre-processing found no work in
-      // for this thread (Start() caps cc_threads at 64, the mask width).
+      // Skip transactions Submit's pre-processing found no work in for
+      // this thread (Start() caps cc_threads at 64, the mask width).
       const uint64_t my_bit = 1ull << cc_id;
       for (BohmTxn* txn : batch->txns) {
         if ((txn->cc_interest & my_bit) == 0) continue;
-        CcProcessTxn<false>(cc_id, txn, b);
+        CcProcessTxn<false>(cc_id, txn);
       }
     }
 
@@ -72,12 +78,13 @@ namespace {
 template <typename F>
 void ForOwnedElements(const BohmDatabase& db, const BohmTxn& txn,
                       uint32_t cc_id, F&& f) {
+  const ReadWriteSet& set = txn.proc->rwset();
   auto visit = [&](const RecordId& rec) {
     BohmTable* table = db.table(rec.table);
     if (table->PartitionOf(rec.key) == cc_id) f(table, rec.key);
   };
-  for (uint32_t i = 0; i < txn.n_reads; ++i) visit(txn.reads[i].rec);
-  for (uint32_t i = 0; i < txn.n_writes; ++i) visit(txn.writes[i].rec);
+  for (const RecordId& rec : set.reads()) visit(rec);
+  for (const RecordId& rec : set.writes()) visit(rec);
 }
 
 /// Allocations ahead of use at which CcProcessTxn<true> prefetches the
@@ -97,8 +104,7 @@ constexpr size_t kRecycleAhead = 8;
 // itself is never read (CC only links and retires its pointer), so it is
 // not prefetched. Every stage touches only this thread's partition (rule
 // R8).
-void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch,
-                                   int64_t b) {
+void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch) {
   CcState& st = *cc_state_[cc_id];
   const uint64_t my_bit = 1ull << cc_id;
   std::vector<BohmTxn*>& mine = st.mine;
@@ -119,29 +125,38 @@ void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch,
                          t->PrefetchEntry(cc_id, key);
                        });
     }
-    if (i >= 2) CcProcessTxn<true>(cc_id, mine[i - 2], b);
+    if (i >= 2) CcProcessTxn<true>(cc_id, mine[i - 2]);
   }
 }
 
 template <bool kPrefetch>
-void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
+void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
   CcState& st = *cc_state_[cc_id];
+  // The footprint is read in place: it is immutable after Submit, and the
+  // sealed-watermark acquire that admitted this batch ordered the client's
+  // writes of it before these reads (docs/CONCURRENCY.md, R10).
+  const ReadWriteSet& set = txn->proc->rwset();
+  const std::span<const RecordId> reads = set.reads();
+  const std::span<const RecordId> writes = set.writes();
+  Version** read_versions = txn->versions();
+  Version** write_versions = read_versions + reads.size();
 
   // Reads first: the annotation must reference the version that precedes
   // any placeholder this same transaction inserts (RMW reads observe the
   // pre-update value). Because CC threads process transactions in
   // timestamp order, the current head of a record in this partition *is*
   // the correct version for this transaction to read (Section 3.2.3).
-  for (uint32_t i = 0; i < txn->n_reads; ++i) {
-    ReadRef& r = txn->reads[i];
-    BohmTable* table = db_.table(r.rec.table);
-    if (table->PartitionOf(r.rec.key) != cc_id) continue;
-    BohmIndexEntry* entry = table->Find(cc_id, r.rec.key);
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const RecordId& rec = reads[i];
+    BohmTable* table = db_.table(rec.table);
+    if (table->PartitionOf(rec.key) != cc_id) continue;
+    BohmIndexEntry* entry = table->Find(cc_id, rec.key);
     // relaxed: this CC thread is the only writer of heads in its
     // partition, so it reads back the latest store; cross-thread
     // visibility of the annotation itself rides the cc_watermark_
     // release/acquire edge (rule R5).
-    r.version = entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
+    read_versions[i] =
+        entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
   }
 
   // Writes: insert an uninitialized placeholder version per element
@@ -150,36 +165,35 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id) {
   // GetOrInsert's pre-publication head install (new record) or via the
   // head release-store below (existing record) — so a concurrent reader
   // never observes a partial version.
-  for (uint32_t i = 0; i < txn->n_writes; ++i) {
-    WriteRef& w = txn->writes[i];
-    BohmTable* table = db_.table(w.rec.table);
-    if (table->PartitionOf(w.rec.key) != cc_id) continue;
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const RecordId& rec = writes[i];
+    BohmTable* table = db_.table(rec.table);
+    if (table->PartitionOf(rec.key) != cc_id) continue;
 
     if constexpr (kPrefetch) {
-      st.alloc.PrefetchRecycled(w.rec.table, kRecycleAhead);
+      st.alloc.PrefetchRecycled(rec.table, kRecycleAhead);
     }
-    Version* v = st.alloc.Alloc(w.rec.table, record_sizes_[w.rec.table]);
+    Version* v = st.alloc.Alloc(rec.table, record_sizes_[rec.table]);
     v->producer = txn;  // prev stays nullptr from Alloc until linked below
 
     bool inserted = false;
-    BohmIndexEntry* entry =
-        table->GetOrInsert(cc_id, w.rec.key, v, &inserted);
+    BohmIndexEntry* entry = table->GetOrInsert(cc_id, rec.key, v, &inserted);
     if (!inserted) {
       // relaxed: this CC thread is the only writer of this record's head,
       // and readers synchronize via the release below (or the entry
       // publication).
       Version* old = entry->head.load(std::memory_order_relaxed);
       v->prev = old;
-      // Queue the superseded version for collection once every execution
-      // thread has finished this batch (src/bohm/gc.cc). Nothing is
-      // written to it: this transaction's place in the order is
-      // producer->ts.
+      // Queue the superseded version, with its table, in this batch's
+      // group for collection once every execution thread has finished the
+      // batch (src/bohm/gc.cc). Nothing is read from or written to it:
+      // the chain order itself is the log order.
       if (old != nullptr && cfg_.gc_enabled) {
-        st.retired.emplace_back(old, batch_id);
+        st.retired.PushVersion(old, rec.table);
       }
       entry->head.store(v, std::memory_order_release);
     }
-    w.version = v;
+    write_versions[i] = v;
   }
 }
 

@@ -103,7 +103,7 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
 }
 
 Status BohmEngine::Start() {
-  // The cc_interest mask on BohmTxn is 64 bits, one per CC thread. A
+  // The cc_interest mask is 64 bits, one per CC thread. A
   // config that would shift past the mask width is rejected instead of
   // silently computing undefined behavior.
   if (cfg_.cc_threads > 64) {
@@ -195,7 +195,13 @@ void BohmEngine::Stop() {
 // then assume every dequeued transaction is well-formed — the bad-table
 // check here is what keeps a stray table id from dereferencing a null
 // BohmTable inside the pipeline.
-Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
+//
+// The same walk over the footprint is the pre-processing of Section 3.2.2:
+// it marks which CC threads own a record of the transaction, on the client
+// thread, which runs in parallel with the sequencer and already holds the
+// procedure's lines.
+Status BohmEngine::CheckSubmit(const StoredProcedure* proc,
+                               uint64_t* cc_interest) const {
   if (!life_.started.load(std::memory_order_acquire) ||
       life_.stopping.load(std::memory_order_acquire)) {
     return Status::Rejected("engine not running");
@@ -219,16 +225,22 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
     return static_cast<size_t>(t) < record_sizes_.size() &&
            record_sizes_[t] != 0;
   };
+  // Partition ids are < cc_threads <= 64 (Start() validates), so the
+  // shift is always defined.
+  uint64_t mask = 0;
   for (const RecordId& rec : set.writes()) {
     if (!known_table(rec.table)) {
       return Status::Rejected("write-set references unknown table");
     }
+    mask |= 1ull << db_.table(rec.table)->PartitionOf(rec.key);
   }
   for (const RecordId& rec : set.reads()) {
     if (!known_table(rec.table)) {
       return Status::Rejected("read-set references unknown table");
     }
+    mask |= 1ull << db_.table(rec.table)->PartitionOf(rec.key);
   }
+  *cc_interest = mask;
   // Duplicate write-set keys would give one transaction two placeholder
   // versions of the same record, and the one execution fills is not the
   // one published. A quadratic scan is cheapest for the paper's
@@ -251,9 +263,14 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc) const {
 }
 
 Status BohmEngine::Enqueue(StoredProcedure* proc, bool owned) {
-  BOHM_RETURN_NOT_OK(CheckSubmit(proc));
+  uint64_t cc_interest = 0;
+  BOHM_RETURN_NOT_OK(CheckSubmit(proc, &cc_interest));
   client_.submitted.fetch_add(1, std::memory_order_acq_rel);
-  input_.Push(InputItem{proc, owned, MonotonicNanos()});
+  const ReadWriteSet& set = proc->rwset();
+  input_.Push(InputItem{
+      proc, MonotonicNanos(), cc_interest,
+      static_cast<uint32_t>(set.reads().size() + set.writes().size()),
+      owned});
   return Status::OK();
 }
 

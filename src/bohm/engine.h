@@ -3,6 +3,8 @@
 // Pipeline (Section 3.1):
 //
 //   clients --Submit()--> [input queue]
+//      (Submit checks the footprint and builds the CC-interest mask on the
+//      client thread: pre-processing off the sequencer, Section 3.2.2)
 //      --> sequencer thread: totally orders transactions; timestamp =
 //          position in the log; accumulates batches (Sections 3.2.1, 3.2.4)
 //      --> m concurrency-control threads: each walks every batch and
@@ -16,9 +18,10 @@
 //      --> n execution threads: start batch b once min(cc_watermark) >= b,
 //          stripe transactions among themselves, evaluate transaction
 //          logic filling the placeholders, recursively evaluating
-//          producers of unready read dependencies (Section 3.3.1); publish
-//          per-thread completion watermarks from which the GC / slot-reuse
-//          low-watermark is folded (Section 3.3.2).
+//          producers of unready read dependencies (Section 3.3.1); each
+//          acknowledges its stripe's commits once the stripe is complete,
+//          and publishes a per-thread completion watermark from which the
+//          GC / slot-reuse low-watermark is folded (Section 3.3.2).
 //
 // Every hand-off between stages is a watermark: the sequencer publishes
 // the last sealed batch id, CC and exec threads their per-thread
@@ -33,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -89,10 +91,10 @@ struct RecoveryStats {
 struct BohmConfig {
   /// m: concurrency-control threads (each owns one physical hash
   /// partition of every table, PartitionOf(key) == its id). At most 64:
-  /// the sequencer's pre-processing (Section 3.2.2) marks each transaction
-  /// with a 64-bit mask of the CC threads it has work for, and Start()
-  /// rejects wider configs (InvalidArgument) rather than compute an
-  /// undefined shift.
+  /// Submit's pre-processing (Section 3.2.2) marks each transaction with a
+  /// 64-bit mask of the CC threads it has work for, and Start() rejects
+  /// wider configs (InvalidArgument) rather than compute an undefined
+  /// shift.
   uint32_t cc_threads = 2;
   /// n: transaction-execution threads.
   uint32_t exec_threads = 2;
@@ -179,7 +181,8 @@ class BohmEngine {
   /// Hands a transaction to the sequencer. Blocks (yielding) when the
   /// input queue is full. The engine assumes ownership and destroys the
   /// procedure some time after it completes (when its batch slot is
-  /// recycled) — do not retain pointers into it.
+  /// recycled) — do not retain pointers into it. The pipeline reads the
+  /// procedure's footprint in place, so it must not change after Submit.
   ///
   /// Returns Rejected (never crashes the engine) when the transaction
   /// cannot be accepted: engine not running or shutting down, durable log
@@ -191,14 +194,15 @@ class BohmEngine {
 
   /// Non-owning variant for procedures whose results the caller wants to
   /// read back (e.g. a read-only scan's aggregate): the caller keeps
-  /// ownership and must keep the object alive until the transaction has
-  /// completed (WaitForIdle() suffices).
+  /// ownership and must keep the object alive, footprint unchanged, until
+  /// the transaction has completed (WaitForIdle() suffices).
   Status SubmitBorrowed(StoredProcedure* proc);
 
   /// Convenience for tests/examples: Submit + WaitForIdle.
   Status RunSync(ProcedurePtr proc);
 
-  /// Blocks until every transaction submitted so far has been executed.
+  /// Blocks until every transaction submitted so far has been executed
+  /// and acknowledged (its execution thread's stripe is complete).
   void WaitForIdle();
 
   /// Aggregated execution counters plus per-stage stall attribution.
@@ -255,7 +259,8 @@ class BohmEngine {
     /// The transactions of the current batch this thread has work in
     /// (scratch for the prefetching lookahead).
     std::vector<BohmTxn*> mine;
-    std::deque<std::pair<Version*, int64_t>> retired;  // (version, batch)
+    /// Versions superseded in this thread's partition, by batch.
+    RetireQueue retired;
     RelaxedCounter freed;
   };
   /// Single-writer wall-clock stall accumulator, one per pipeline thread
@@ -297,25 +302,32 @@ class BohmEngine {
   /// only; no-op while replaying).
   void LogSealedBatch(const Batch& batch, int64_t id);
 
-  /// Admission checks for Enqueue.
-  Status CheckSubmit(const StoredProcedure* proc) const;
+  /// Admission checks for Enqueue. On success `*cc_interest` is the mask
+  /// of CC threads that own a record of the footprint.
+  Status CheckSubmit(const StoredProcedure* proc,
+                     uint64_t* cc_interest) const;
 
   // --- concurrency-control stage (cc_worker.cc) ---
   void CcLoop(uint32_t cc_id);
-  /// CC over this thread's transactions of batch `b`, with a staged
+  /// CC over this thread's transactions of `batch`, with a staged
   /// prefetch lookahead over their index footprint (engines with a large
   /// table, IsLargeTable).
-  void CcBatchPrefetched(uint32_t cc_id, const Batch& batch, int64_t b);
+  void CcBatchPrefetched(uint32_t cc_id, const Batch& batch);
   template <bool kPrefetch>
-  void CcProcessTxn(uint32_t cc_id, BohmTxn* txn, int64_t batch_id);
+  void CcProcessTxn(uint32_t cc_id, BohmTxn* txn);
 
   // --- execution stage (exec_worker.cc) ---
   void ExecLoop(uint32_t exec_id);
   /// Runs this thread's stripe of `batch` until every transaction in it is
-  /// complete; kPrefetch prefetches each next stripe transaction's
-  /// annotated versions while the current one runs.
+  /// complete, then acknowledges the stripe (AckStripe); kPrefetch
+  /// prefetches each next stripe transaction's annotated versions while
+  /// the current one runs.
   template <bool kPrefetch>
   void ExecStripe(uint32_t exec_id, const Batch& batch);
+  /// The commit-ack point: with one clock reading, records every committed
+  /// stripe transaction's submit→ack latency and adds the stripe's commits
+  /// and logic aborts to this thread's stats slice.
+  void AckStripe(uint32_t exec_id, const Batch& batch);
   /// Prefetches the versions an admitted transaction will read and the
   /// placeholders it will write (for writing).
   void PrefetchFootprint(const BohmTxn& txn) const;
@@ -328,11 +340,17 @@ class BohmEngine {
 
   uint64_t CompletedCount() const;
 
+  /// A submitted transaction, pre-processed on the client thread so the
+  /// sequencer need not read the procedure at all.
   struct InputItem {
     StoredProcedure* proc = nullptr;
-    bool owned = false;
     /// MonotonicNanos() at Submit(); becomes BohmTxn::submit_tick.
     uint64_t submit_tick = 0;
+    /// Becomes BohmTxn::cc_interest (CheckSubmit).
+    uint64_t cc_interest = 0;
+    /// Footprint size: the length of the transaction's version array.
+    uint32_t records = 0;
+    bool owned = false;
   };
 
   Catalog catalog_;
@@ -382,7 +400,6 @@ class BohmEngine {
   };
   /// Sequencer-private: plain fields only the sequencer thread touches.
   struct alignas(kCacheLineSize) SequencerLine {
-    uint64_t next_ts = 1;
     int64_t next_batch_id = 0;
     /// Scratch for batch payload encoding.
     std::vector<const StoredProcedure*> log_txn_scratch;
@@ -413,9 +430,9 @@ class BohmEngine {
   static_assert(alignof(LifecycleLine) == kCacheLineSize);
 
   ClientLine client_;
-  /// Accepts `proc` (owned: destroyed when its batch slot is reused) and
-  /// hands it to the sequencer; the one enqueue path behind Submit and
-  /// SubmitBorrowed.
+  /// Accepts `proc` (owned: destroyed when its batch slot is reused),
+  /// pre-processes it and hands it to the sequencer; the one enqueue path
+  /// behind Submit, SubmitBorrowed and recovery replay.
   Status Enqueue(StoredProcedure* proc, bool owned);
   SequencerLine seq_;
   SealLine sealed_;

@@ -7,56 +7,102 @@
 // transactions i, i+n, ...), but any thread may execute any transaction by
 // winning the Unprocessed -> Executing claim — which is how unsatisfied
 // read dependencies are resolved: the blocked thread recursively evaluates
-// the producing transaction instead of waiting for it.
+// the producing transaction instead of waiting for it. Whichever thread
+// executes a transaction, the thread responsible for it acknowledges it:
+// once its whole stripe of a batch is complete, it reads the clock once
+// and counts the stripe's commits and logic aborts (AckStripe).
 
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <span>
 
 #include "common/spin.h"
 #include "bohm/engine.h"
 
 namespace bohm {
 
+namespace {
+
+/// Index of (table, key) in `recs` (linear scan — OLTP footprints are a
+/// handful of elements), or recs.size() when undeclared.
+size_t IndexOf(std::span<const RecordId> recs, TableId table, Key key) {
+  size_t i = 0;
+  while (i < recs.size() && !(recs[i].table == table && recs[i].key == key)) {
+    ++i;
+  }
+  return i;
+}
+
+}  // namespace
+
 /// Bohm's TxnOps: reads return resolved version data (guaranteed ready by
 /// the dependency-resolution pass); writes return placeholder buffers.
+/// Records are looked up in the procedure's own footprint, and the version
+/// at the same position of the transaction's version array is used.
+/// Operations are counted here and added to the stats slice once per
+/// Run() (Flush).
 class BohmOps final : public TxnOps {
  public:
-  BohmOps(BohmTxn* txn, ThreadStats* stats) : txn_(txn), stats_(stats) {}
+  explicit BohmOps(BohmTxn* txn)
+      : reads_(txn->proc->rwset().reads()),
+        writes_(txn->proc->rwset().writes()),
+        read_versions_(txn->versions()),
+        write_versions_(txn->versions() + reads_.size()) {}
 
   const void* Read(TableId table, Key key) override {
-    ReadRef* r = txn_->FindRead(table, key);
-    assert(r != nullptr && "access to undeclared read-set element");
-    if (r == nullptr) return nullptr;
-    stats_->reads.Inc();
-    Version* v = r->version;  // resolved before Run() was entered
+    const size_t i = IndexOf(reads_, table, key);
+    assert(i < reads_.size() && "access to undeclared read-set element");
+    if (i == reads_.size()) return nullptr;
+    ++n_reads_;
+    Version* v = read_versions_[i];  // resolved before Run() was entered
     if (v == nullptr || v->tombstone()) return nullptr;
     return v->data();
   }
 
   void* Write(TableId table, Key key) override {
-    WriteRef* w = txn_->FindWrite(table, key);
-    assert(w != nullptr && "access to undeclared write-set element");
-    if (w == nullptr) return nullptr;
-    stats_->writes.Inc();
-    return w->version->data();
+    Version* v = WriteVersion(table, key);
+    assert(v != nullptr && "access to undeclared write-set element");
+    return v == nullptr ? nullptr : v->data();
   }
 
   bool Delete(TableId table, Key key) override {
-    WriteRef* w = txn_->FindWrite(table, key);
-    assert(w != nullptr && "delete of undeclared write-set element");
-    if (w == nullptr) return false;
-    stats_->writes.Inc();
-    w->tombstone = true;  // published as a tombstone version after Run()
+    Version* v = WriteVersion(table, key);
+    assert(v != nullptr && "delete of undeclared write-set element");
+    if (v == nullptr) return false;
+    // Marks the placeholder, which is published as a tombstone version
+    // after Run(). relaxed: this thread holds the Executing claim, so it
+    // is the placeholder's only writer, and no reader looks at the bit
+    // before the release store that sets kVersionReady.
+    v->flags.store(v->flags.load(std::memory_order_relaxed) |
+                       kVersionTombstone,
+                   std::memory_order_relaxed);
     return true;
   }
 
   void Abort() override { aborted_ = true; }
   bool aborted() const override { return aborted_; }
 
+  /// Adds this Run()'s operation counts to `stats`.
+  void Flush(ThreadStats& stats) const {
+    if (n_reads_ != 0) stats.reads.Inc(n_reads_);
+    if (n_writes_ != 0) stats.writes.Inc(n_writes_);
+  }
+
  private:
-  BohmTxn* txn_;
-  ThreadStats* stats_;
+  Version* WriteVersion(TableId table, Key key) {
+    const size_t i = IndexOf(writes_, table, key);
+    if (i == writes_.size()) return nullptr;
+    ++n_writes_;
+    return write_versions_[i];
+  }
+
+  std::span<const RecordId> reads_;
+  std::span<const RecordId> writes_;
+  Version* const* read_versions_;
+  Version* const* write_versions_;
+  uint64_t n_reads_ = 0;
+  uint64_t n_writes_ = 0;
   bool aborted_ = false;
 };
 
@@ -150,22 +196,57 @@ void BohmEngine::ExecStripe(uint32_t exec_id, const Batch& batch) {
     }
     if (!all_done) wait.Pause();
   }
+  AckStripe(exec_id, batch);
+}
+
+// Every stripe transaction is Complete, and this thread acquired each
+// Complete (ExecStripe's IsComplete loads), whichever thread executed it,
+// so logic_aborted — written before that thread's release of Complete —
+// is final here. Each transaction is counted exactly once, by the owner of
+// its stripe. Samples go in before the counters, and the counters' release
+// stores publish the stripe to Stats() and WaitForIdle(), so at quiescent
+// points latency_us.count() == commits.
+void BohmEngine::AckStripe(uint32_t exec_id, const Batch& batch) {
+  const size_t n = batch.txns.size();
+  const size_t stride = cfg_.exec_threads;
+  if (static_cast<size_t>(exec_id) >= n) return;
+  ThreadStats& stats = stats_.Slice(exec_id);
+  const uint64_t now = MonotonicNanos();
+  uint64_t commits = 0;
+  uint64_t aborts = 0;
+  for (size_t idx = exec_id; idx < n; idx += stride) {
+    const BohmTxn& txn = *batch.txns[idx];
+    if (txn.logic_aborted) {
+      ++aborts;
+      continue;
+    }
+    // Rounded up to a whole microsecond, so a committed transaction never
+    // contributes a zero sample.
+    const uint64_t lat_ns = now - txn.submit_tick;
+    stats.latency_us.Record(lat_ns / 1000 + (lat_ns % 1000 != 0 ? 1 : 0));
+    ++commits;
+  }
+  if (commits != 0) stats.commits.Inc(commits);
+  if (aborts != 0) stats.logic_aborts.Inc(aborts);
 }
 
 void BohmEngine::PrefetchFootprint(const BohmTxn& txn) const {
   // Interleaved in the order a procedure typically touches them: the
   // version an RMW reads, then the placeholder it writes.
-  const uint32_t n = std::max(txn.n_reads, txn.n_writes);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i < txn.n_reads && txn.reads[i].version != nullptr) {
-      const ReadRef& r = txn.reads[i];
-      PrefetchReadRange(r.version,
-                        sizeof(Version) + record_sizes_[r.rec.table]);
+  const ReadWriteSet& set = txn.proc->rwset();
+  const std::span<const RecordId> reads = set.reads();
+  const std::span<const RecordId> writes = set.writes();
+  Version* const* read_versions = txn.versions();
+  Version* const* write_versions = read_versions + reads.size();
+  const size_t n = std::max(reads.size(), writes.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (i < reads.size() && read_versions[i] != nullptr) {
+      PrefetchReadRange(read_versions[i],
+                        sizeof(Version) + record_sizes_[reads[i].table]);
     }
-    if (i < txn.n_writes) {
-      const WriteRef& w = txn.writes[i];
-      PrefetchWriteRange(w.version,
-                         sizeof(Version) + record_sizes_[w.rec.table]);
+    if (i < writes.size()) {
+      PrefetchWriteRange(write_versions[i],
+                         sizeof(Version) + record_sizes_[writes[i].table]);
     }
   }
 }
@@ -187,20 +268,25 @@ bool BohmEngine::FillAbortedWrites(uint32_t exec_id, BohmTxn* txn,
   // is equal to that produced by T1" — the abort is a read dependency on
   // every preceding version). Pass 1 resolves those dependencies; pass 2
   // copies and publishes.
-  for (uint32_t i = 0; i < txn->n_writes; ++i) {
-    Version* prev = txn->writes[i].version->prev;
+  const std::span<const RecordId> writes = txn->proc->rwset().writes();
+  Version* const* write_versions =
+      txn->versions() + txn->proc->rwset().reads().size();
+  for (size_t i = 0; i < writes.size(); ++i) {
+    Version* prev = write_versions[i]->prev;
     if (prev != nullptr && !EnsureReady(exec_id, prev, depth + 1)) {
       return false;
     }
   }
-  for (uint32_t i = 0; i < txn->n_writes; ++i) {
-    Version* v = txn->writes[i].version;
+  for (size_t i = 0; i < writes.size(); ++i) {
+    Version* v = write_versions[i];
     Version* prev = v->prev;
+    // The whole flags word is stored, so a tombstone mark the aborted
+    // logic made on the placeholder is dropped.
     if (prev == nullptr || prev->tombstone()) {
       v->flags.store(kVersionReady | kVersionTombstone,
                      std::memory_order_release);
     } else {
-      std::memcpy(v->data(), prev->data(), record_sizes_[v->table]);
+      std::memcpy(v->data(), prev->data(), record_sizes_[writes[i].table]);
       v->flags.store(kVersionReady, std::memory_order_release);
     }
   }
@@ -221,18 +307,21 @@ bool BohmEngine::TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth) {
   // now (claimed by another thread, or the recursion bound is hit), put
   // the transaction back to Unprocessed; a responsible thread will retry
   // (Section 3.3.1).
-  for (uint32_t i = 0; i < txn->n_reads; ++i) {
-    const ReadRef& r = txn->reads[i];
-    if (r.version != nullptr && !EnsureReady(exec_id, r.version, depth + 1)) {
+  const ReadWriteSet& set = txn->proc->rwset();
+  const size_t n_reads = set.reads().size();
+  Version* const* versions = txn->versions();
+  for (size_t i = 0; i < n_reads; ++i) {
+    Version* v = versions[i];
+    if (v != nullptr && !EnsureReady(exec_id, v, depth + 1)) {
       txn->state.store(static_cast<uint32_t>(ExecState::kUnprocessed),
                        std::memory_order_release);
       return false;
     }
   }
 
-  ThreadStats& stats = stats_.Slice(exec_id);
-  BohmOps ops(txn, &stats);
+  BohmOps ops(txn);
   txn->proc->Run(ops);
+  ops.Flush(stats_.Slice(exec_id));
 
   if (ops.aborted()) {
     if (!FillAbortedWrites(exec_id, txn, depth)) {
@@ -243,25 +332,21 @@ bool BohmEngine::TryExecute(uint32_t exec_id, BohmTxn* txn, uint32_t depth) {
                        std::memory_order_release);
       return false;
     }
+    // Read by the stripe owner after it acquires Complete (AckStripe).
     txn->logic_aborted = true;
-    stats.logic_aborts.Inc();
   } else {
-    for (uint32_t i = 0; i < txn->n_writes; ++i) {
-      const uint32_t flags =
-          kVersionReady | (txn->writes[i].tombstone ? kVersionTombstone : 0);
-      txn->writes[i].version->flags.store(flags, std::memory_order_release);
+    // Publish every placeholder, keeping a tombstone mark Delete() made.
+    const size_t n_writes = set.writes().size();
+    for (size_t i = 0; i < n_writes; ++i) {
+      Version* v = versions[n_reads + i];
+      // relaxed: this thread is the placeholder's only writer (Delete).
+      const uint32_t tomb =
+          v->flags.load(std::memory_order_relaxed) & kVersionTombstone;
+      v->flags.store(kVersionReady | tomb, std::memory_order_release);
     }
-    // Submit→commit-ack latency: stamped at Submit(), recorded here at
-    // commit publication. Rounded up to a whole microsecond so a
-    // committed transaction never contributes a zero sample, and recorded
-    // before the commit counter so any fold that observes the commit
-    // (e.g. a WaitForIdle-quiesced snapshot) also observes its sample —
-    // that ordering is what makes histogram count == commits exact at
-    // quiescent points.
-    const uint64_t lat_ns = MonotonicNanos() - txn->submit_tick;
-    stats.latency_us.Record(lat_ns / 1000 + (lat_ns % 1000 != 0 ? 1 : 0));
-    stats.commits.Inc();
   }
+  // The commit (or logic abort) is acknowledged later, when the stripe
+  // owner finds its whole stripe complete (AckStripe).
   txn->state.store(static_cast<uint32_t>(ExecState::kComplete),
                    std::memory_order_release);
   return true;

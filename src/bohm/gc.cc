@@ -9,6 +9,13 @@
 
 namespace bohm {
 
+// The retire queue holds one group per batch: the batch's marker, then
+// (version, table) for every version the batch superseded in this
+// thread's partition. A drain frees whole groups whose batch the
+// watermark has passed, into the free list of the table recorded at
+// retirement, so it never reads a retired version: the execution thread
+// that filled it last still holds its line.
+//
 // Thread-safety: `retired` and `alloc` are plain (unlocked) members of
 // CcState because each is touched only by the one CC thread that owns the
 // partition (docs/CONCURRENCY.md, "single-writer ownership"). That thread
@@ -25,13 +32,19 @@ namespace bohm {
 // thread is still inside.
 void BohmEngine::DrainRetired(uint32_t cc_id) {
   CcState& st = *cc_state_[cc_id];
-  if (st.retired.empty()) return;
+  RetireQueue& q = st.retired;
+  if (q.empty()) return;
   const int64_t watermark = Watermark();
-  while (!st.retired.empty() && st.retired.front().second <= watermark) {
-    st.alloc.Free(st.retired.front().first);
-    st.retired.pop_front();
-    st.freed.Inc();
+  uint64_t freed = 0;
+  // The front entry is always a batch marker (PushBatch opens each group).
+  while (!q.empty() && static_cast<int64_t>(q.front().tag) <= watermark) {
+    q.PopFront();
+    for (; !q.empty() && q.front().version != nullptr; q.PopFront()) {
+      st.alloc.Free(q.front().version, static_cast<TableId>(q.front().tag));
+      ++freed;
+    }
   }
+  if (freed != 0) st.freed.Inc(freed);
 }
 
 }  // namespace bohm

@@ -1,9 +1,13 @@
 // The sequencer stage (Section 3.2.1): a single thread that appends every
 // input transaction to a logical log. A transaction's timestamp is its
-// position in that log — timestamp assignment is therefore an uncontended,
-// single-writer operation, in contrast to the global fetch-and-increment
-// counters of conventional multi-version systems (Section 2.1).
+// position in that log (batch id, index within the batch) — timestamp
+// assignment is therefore an uncontended, single-writer operation, in
+// contrast to the global fetch-and-increment counters of conventional
+// multi-version systems (Section 2.1). Submit has already pre-processed
+// every transaction (Section 3.2.2), so the sequencer only orders and
+// allocates: it neither reads the footprint nor hashes a key.
 
+#include <new>
 #include <utility>
 
 #include "common/spin.h"
@@ -80,42 +84,12 @@ void BohmEngine::SequencerLoop() {
       if (input_.TryPop(&item)) {
         wait.Reset();
         idle_mark = 0;
-        StoredProcedure* raw = item.proc;
-        if (item.owned) batch->procs.emplace_back(raw);
-        const ReadWriteSet& set = raw->rwset();
-        auto* txn = batch->arena.New<BohmTxn>();
-        txn->proc = raw;
-        txn->ts = seq_.next_ts++;
-        txn->batch_id = id;
-        txn->submit_tick = item.submit_tick;
-        txn->n_reads = static_cast<uint32_t>(set.reads().size());
-        txn->n_writes = static_cast<uint32_t>(set.writes().size());
-        // Pre-processing (Section 3.2.2): mark which CC threads this
-        // transaction has work for, so CC threads skip it wholesale.
-        // Partition ids are < cc_threads <= 64 (Start() validates), so the
-        // shift is always defined.
-        auto owner_bit = [&](const RecordId& rec) {
-          return 1ull << db_.table(rec.table)->PartitionOf(rec.key);
-        };
-        uint64_t mask = 0;
-        if (txn->n_reads > 0) {
-          txn->reads = static_cast<ReadRef*>(batch->arena.Allocate(
-              sizeof(ReadRef) * txn->n_reads, alignof(ReadRef)));
-          for (uint32_t i = 0; i < txn->n_reads; ++i) {
-            txn->reads[i] = ReadRef{set.reads()[i], nullptr};
-            mask |= owner_bit(set.reads()[i]);
-          }
-        }
-        if (txn->n_writes > 0) {
-          txn->writes = static_cast<WriteRef*>(batch->arena.Allocate(
-              sizeof(WriteRef) * txn->n_writes, alignof(WriteRef)));
-          for (uint32_t i = 0; i < txn->n_writes; ++i) {
-            txn->writes[i] = WriteRef{set.writes()[i], nullptr, false};
-            mask |= owner_bit(set.writes()[i]);
-          }
-        }
-        txn->cc_interest = mask;
-        batch->txns.push_back(txn);
+        if (item.owned) batch->procs.emplace_back(item.proc);
+        // The version array is left for the CC threads to fill.
+        void* mem = batch->arena.Allocate(BohmTxn::BytesFor(item.records),
+                                          alignof(BohmTxn));
+        batch->txns.push_back(new (mem) BohmTxn(item.proc, item.submit_tick,
+                                                item.cc_interest));
         continue;
       }
       // Queue empty.

@@ -68,9 +68,11 @@ class BohmTable {
   bool large() const { return large_; }
 
   /// Physical partition of a key (static hash), which is also the id of
-  /// the CC thread that owns it.
+  /// the CC thread that owns it. With one partition no key is hashed.
   uint32_t PartitionOf(Key key) const {
-    return static_cast<uint32_t>(HashKey(key) % parts_.size());
+    return parts_.size() == 1
+               ? 0
+               : static_cast<uint32_t>(HashKey(key) % parts_.size());
   }
 
   /// Read-only lookup; safe from any thread concurrently with owner

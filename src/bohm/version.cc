@@ -1,5 +1,7 @@
 #include "bohm/version.h"
 
+#include <utility>
+
 namespace bohm {
 
 Version* VersionAllocator::Alloc(TableId table, uint32_t record_size) {
@@ -13,18 +15,21 @@ Version* VersionAllocator::Alloc(TableId table, uint32_t record_size) {
     v->flags.store(0, std::memory_order_relaxed);
     v->producer = nullptr;
     v->prev = nullptr;
-    v->table = table;
     return v;
   }
   void* mem = arena_.Allocate(sizeof(Version) + record_size, alignof(Version));
-  Version* v = new (mem) Version();
-  v->table = table;
-  return v;
+  return new (mem) Version();
 }
 
-void VersionAllocator::Free(Version* v) {
-  if (free_lists_.size() <= v->table) free_lists_.resize(v->table + 1);
-  free_lists_[v->table].push_back(v);
+void RetireQueue::Grow() {
+  std::vector<Entry> bigger(ring_.empty() ? 64 : 2 * ring_.size());
+  for (uint64_t i = head_; i != tail_; ++i) {
+    bigger[i - head_] = ring_[i & mask_];
+  }
+  tail_ -= head_;
+  head_ = 0;
+  ring_ = std::move(bigger);
+  mask_ = ring_.size() - 1;
 }
 
 size_t VersionAllocator::FreeCount() const {

@@ -1,9 +1,9 @@
 // Record versions, the layout of Figure 3 in the paper minus its two
 // timestamps: {txn pointer, data, prev pointer}. Bohm never reads a
-// version's begin or end timestamp — ordering is carried by the producing
-// transaction (producer->ts) and by read annotation (Section 3.2.3), which
-// hands every read the exact version to observe — so the fields are not
-// stored, and superseding a version does not write to it.
+// version's begin or end timestamp — ordering is the order in which CC
+// threads link versions (log order, Section 3.2.1) and read annotation
+// (Section 3.2.3) hands every read the exact version to observe — so the
+// fields are not stored, and superseding a version does not write to it.
 //
 // A version is created by a concurrency-control thread as an uninitialized
 // placeholder (Section 3.2.2); its data is produced later by an execution
@@ -29,15 +29,16 @@ class BohmTxn;
 /// Version state bits (in `flags`).
 inline constexpr uint32_t kVersionReady = 1u << 0;
 /// The record logically does not exist at this version (deleted record, or
-/// an aborted insert whose placeholder must behave as "absent").
+/// an aborted insert whose placeholder must behave as "absent"). A
+/// transaction that deletes the record sets it on its placeholder while
+/// the version is not yet ready; readers look at it only once kVersionReady
+/// is set, which publishes it.
 inline constexpr uint32_t kVersionTombstone = 1u << 1;
 
 struct Version {
   /// kVersionReady once the data has been produced (plus kVersionTombstone
   /// when the record is absent at this version).
   std::atomic<uint32_t> flags{0};
-  /// Table the version belongs to; selects the allocator size class.
-  TableId table = 0;
   /// The transaction that must be evaluated to obtain the data
   /// (Figure 3's "Txn Pointer"); nullptr for loaded versions.
   BohmTxn* producer = nullptr;
@@ -56,8 +57,8 @@ struct Version {
   }
 };
 
-/// The header is paid once per version of every record: {flags, table}
-/// share one word, then the two pointers.
+/// The header is paid once per version of every record: the flags word,
+/// then the two pointers.
 static_assert(sizeof(Version) == 24);
 
 /// Thread-local version allocator with one free list per table (versions
@@ -78,9 +79,14 @@ class VersionAllocator {
   /// Allocates a version with `record_size` payload bytes for `table`.
   Version* Alloc(TableId table, uint32_t record_size);
 
-  /// Returns a version to the per-table free list. The caller must own the
-  /// version (same-thread discipline).
-  void Free(Version* v);
+  /// Returns a version of `table` to that table's free list. The caller
+  /// must own the version (same-thread discipline) and name the table it
+  /// was allocated for; the version itself is not read, so freeing one
+  /// another thread wrote last costs no cache miss.
+  void Free(Version* v, TableId table) {
+    if (free_lists_.size() <= table) free_lists_.resize(table + 1);
+    free_lists_[table].push_back(v);
+  }
 
   /// Prefetches, for writing, the header of the version that the
   /// `ahead`-th next Alloc for `table` will recycle (0: the very next).
@@ -100,6 +106,41 @@ class VersionAllocator {
  private:
   Arena arena_;
   std::vector<std::vector<Version*>> free_lists_;  // indexed by table id
+};
+
+/// A CC thread's superseded versions awaiting collection, in retirement
+/// order: a batch marker, then the (version, table) pairs that batch
+/// retired. A growable ring whose storage is reused, so steady-state
+/// retirement allocates nothing.
+class RetireQueue {
+ public:
+  /// `version` is nullptr for a batch marker, whose `tag` is the batch id;
+  /// otherwise `tag` is the version's table.
+  struct Entry {
+    Version* version;
+    uint64_t tag;
+  };
+
+  bool empty() const { return head_ == tail_; }
+  const Entry& front() const { return ring_[head_ & mask_]; }
+  void PopFront() { ++head_; }
+  void PushBatch(int64_t batch_id) {
+    Push({nullptr, static_cast<uint64_t>(batch_id)});
+  }
+  void PushVersion(Version* v, TableId table) { Push({v, table}); }
+
+ private:
+  void Push(Entry e) {
+    if (tail_ - head_ == ring_.size()) Grow();
+    ring_[tail_++ & mask_] = e;
+  }
+  /// Doubles the ring, unrolling the live entries to its start.
+  void Grow();
+
+  std::vector<Entry> ring_;
+  uint64_t mask_ = 0;
+  uint64_t head_ = 0;
+  uint64_t tail_ = 0;
 };
 
 }  // namespace bohm

@@ -4,6 +4,10 @@
 // them).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "bohm/engine.h"
 #include "harness/engines.h"
 #include "test_util.h"
@@ -12,6 +16,7 @@ namespace bohm {
 namespace {
 
 using testutil::OneTable;
+using testutil::WriteU64;
 
 /// Deletes one record.
 class DeleteProcedure final : public StoredProcedure {
@@ -163,6 +168,79 @@ TEST(BohmDeleteTest, DeleteChurnWithGc) {
   ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, 4242u);
   EXPECT_GT(engine->gc_freed_versions(), 100u);
+  engine->Stop();
+}
+
+/// Declares `writes` blind writes on keys 0..writes-1, deletes the keys in
+/// `deleted`, writes `value` to the others, then aborts when `abort` is set.
+class WideDelete final : public StoredProcedure {
+ public:
+  WideDelete(TableId table, uint32_t writes, std::vector<Key> deleted,
+             uint64_t value, bool abort)
+      : table_(table), deleted_(std::move(deleted)), value_(value),
+        abort_(abort) {
+    set_.Reserve(writes);
+    for (Key k = 0; k < writes; ++k) set_.AddWrite(table, k);
+  }
+  void Run(TxnOps& ops) override {
+    for (const RecordId& rec : set_.writes()) {
+      if (std::find(deleted_.begin(), deleted_.end(), rec.key) !=
+          deleted_.end()) {
+        (void)ops.Delete(table_, rec.key);
+      } else {
+        WriteU64(ops, table_, rec.key, value_);
+      }
+    }
+    if (abort_) ops.Abort();
+  }
+
+ private:
+  TableId table_;
+  std::vector<Key> deleted_;
+  uint64_t value_;
+  bool abort_;
+};
+
+TEST(BohmDeleteTest, TombstonesBeyondSixtyFourWrites) {
+  // 70 writes: a tombstone representation sized for 64 writes would lose
+  // (or alias) the deletes of the 66th and 70th records.
+  constexpr uint32_t kWrites = 70;
+  const std::vector<Key> deleted = {65, 69};
+  auto engine = MakeEngine(kWrites, 5);
+  ASSERT_TRUE(
+      engine->RunSync(std::make_unique<WideDelete>(0, kWrites, deleted, 77,
+                                                   /*abort=*/false))
+          .ok());
+  for (Key k = 0; k < kWrites; ++k) {
+    uint64_t out = 0;
+    const Status st = engine->ReadLatest(0, k, &out);
+    if (k == 65 || k == 69) {
+      EXPECT_TRUE(st.IsNotFound()) << "key " << k << " was deleted";
+    } else {
+      ASSERT_TRUE(st.ok()) << "key " << k;
+      EXPECT_EQ(out, 77u) << "key " << k;
+    }
+  }
+  EXPECT_EQ(engine->Stats().commits, 1u);
+  engine->Stop();
+}
+
+TEST(BohmDeleteTest, AbortAfterWideDeleteKeepsOldValues) {
+  constexpr uint32_t kWrites = 70;
+  auto engine = MakeEngine(kWrites, 5);
+  ASSERT_TRUE(
+      engine->RunSync(std::make_unique<WideDelete>(0, kWrites,
+                                                   std::vector<Key>{65, 69},
+                                                   77, /*abort=*/true))
+          .ok());
+  for (Key k = 0; k < kWrites; ++k) {
+    uint64_t out = 0;
+    ASSERT_TRUE(engine->ReadLatest(0, k, &out).ok()) << "key " << k;
+    EXPECT_EQ(out, 5u) << "key " << k;
+  }
+  const StatsSnapshot s = engine->Stats();
+  EXPECT_EQ(s.logic_aborts, 1u);
+  EXPECT_EQ(s.commits, 0u);
   engine->Stop();
 }
 

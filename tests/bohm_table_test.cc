@@ -216,7 +216,7 @@ TEST(VersionAllocatorTest, FreeListRecycles) {
   Version* v = alloc.Alloc(0, 8);
   v->prev = v;
   v->flags.store(kVersionReady, std::memory_order_relaxed);
-  alloc.Free(v);
+  alloc.Free(v, 0);
   EXPECT_EQ(alloc.FreeCount(), 1u);
   Version* v2 = alloc.Alloc(0, 8);
   EXPECT_EQ(v2, v);  // recycled
@@ -229,8 +229,8 @@ TEST(VersionAllocatorTest, PerTableFreeLists) {
   VersionAllocator alloc;
   Version* small = alloc.Alloc(0, 8);
   Version* big = alloc.Alloc(1, 1000);
-  alloc.Free(small);
-  alloc.Free(big);
+  alloc.Free(small, 0);
+  alloc.Free(big, 1);
   EXPECT_EQ(alloc.FreeCount(), 2u);
   // Allocation for table 1 must come from table 1's list (payload size!).
   Version* big2 = alloc.Alloc(1, 1000);
