@@ -123,8 +123,8 @@ void BM_LockTableGetOrCreate(benchmark::State& state) {
 }
 BENCHMARK(BM_LockTableGetOrCreate);
 
-void BM_MpmcQueueRoundTrip(benchmark::State& state) {
-  MpmcQueue<uint64_t> q(1024);
+void BM_MpscQueueRoundTrip(benchmark::State& state) {
+  MpscQueue<uint64_t> q(1024);
   uint64_t v = 0;
   for (auto _ : state) {
     q.Push(v);
@@ -133,7 +133,7 @@ void BM_MpmcQueueRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MpmcQueueRoundTrip);
+BENCHMARK(BM_MpscQueueRoundTrip);
 
 void BM_LockOrderComputation(benchmark::State& state) {
   ReadWriteSet set;

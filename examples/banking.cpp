@@ -58,7 +58,9 @@ int main(int argc, char** argv) {
   }
 
   StatsSnapshot stats = engine.Stats();
-  std::printf("processed: %s\n", stats.ToString().c_str());
+  std::printf("processed: %llu commits, %llu logic aborts\n",
+              static_cast<unsigned long long>(stats.commits),
+              static_cast<unsigned long long>(stats.logic_aborts));
   std::printf("audit: final total %lld (expected %lld) -> %s\n",
               static_cast<long long>(total),
               static_cast<long long>(initial_total),

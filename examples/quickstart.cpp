@@ -92,8 +92,7 @@ int main() {
                 static_cast<unsigned long long>(balance));
   }
   StatsSnapshot stats = engine.Stats();
-  std::printf("\n%s\n", stats.ToString().c_str());
-  std::printf("all %llu transactions committed, zero aborts — Bohm is "
+  std::printf("\nall %llu transactions committed, zero aborts — Bohm is "
               "pessimistic and serializable.\n",
               static_cast<unsigned long long>(stats.commits));
 

@@ -262,31 +262,16 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc,
   return Status::OK();
 }
 
-Status BohmEngine::Enqueue(StoredProcedure* proc, bool owned) {
+Status BohmEngine::Submit(ProcedurePtr proc) {
   uint64_t cc_interest = 0;
-  BOHM_RETURN_NOT_OK(CheckSubmit(proc, &cc_interest));
+  BOHM_RETURN_NOT_OK(CheckSubmit(proc.get(), &cc_interest));
   client_.submitted.fetch_add(1, std::memory_order_acq_rel);
   const ReadWriteSet& set = proc->rwset();
-  input_.Push(InputItem{
-      proc, MonotonicNanos(), cc_interest,
-      static_cast<uint32_t>(set.reads().size() + set.writes().size()),
-      owned});
-  return Status::OK();
-}
-
-Status BohmEngine::Submit(ProcedurePtr proc) {
-  BOHM_RETURN_NOT_OK(Enqueue(proc.get(), /*owned=*/true));
-  (void)proc.release();  // the sequencer's batch slot owns it now
-  return Status::OK();
-}
-
-Status BohmEngine::SubmitBorrowed(StoredProcedure* proc) {
-  return Enqueue(proc, /*owned=*/false);
-}
-
-Status BohmEngine::RunSync(ProcedurePtr proc) {
-  BOHM_RETURN_NOT_OK(Submit(std::move(proc)));
-  WaitForIdle();
+  const auto records =
+      static_cast<uint32_t>(set.reads().size() + set.writes().size());
+  // The sequencer's batch slot owns the procedure from here on.
+  input_.Push(
+      InputItem{proc.release(), MonotonicNanos(), cc_interest, records});
   return Status::OK();
 }
 

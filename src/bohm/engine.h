@@ -178,28 +178,21 @@ class BohmEngine {
   /// Idempotent; also run by the destructor.
   void Stop();
 
-  /// Hands a transaction to the sequencer. Blocks (yielding) when the
-  /// input queue is full. The engine assumes ownership and destroys the
-  /// procedure some time after it completes (when its batch slot is
-  /// recycled) — do not retain pointers into it. The pipeline reads the
-  /// procedure's footprint in place, so it must not change after Submit.
+  /// Hands a transaction to the sequencer: the one way into the engine.
+  /// Blocks (yielding) when the input queue is full. The engine assumes
+  /// ownership and destroys the procedure some time after it completes
+  /// (when its batch slot is recycled) — do not retain pointers into it;
+  /// a procedure that reports results writes them to caller-owned storage
+  /// that stays put until the transaction completes (WaitForIdle()
+  /// suffices). The pipeline reads the procedure's footprint in place, so
+  /// it must not change after Submit.
   ///
   /// Returns Rejected (never crashes the engine) when the transaction
   /// cannot be accepted: engine not running or shutting down, durable log
   /// degraded, a non-loggable procedure under durability, or a malformed
-  /// footprint (unknown table, duplicate write-set keys). On rejection
-  /// ownership stays rejected-side semantics: the procedure is destroyed
-  /// (it was moved in) and nothing was enqueued.
+  /// footprint (unknown table, duplicate write-set keys). A rejected
+  /// procedure is destroyed on return and nothing is enqueued.
   Status Submit(ProcedurePtr proc);
-
-  /// Non-owning variant for procedures whose results the caller wants to
-  /// read back (e.g. a read-only scan's aggregate): the caller keeps
-  /// ownership and must keep the object alive, footprint unchanged, until
-  /// the transaction has completed (WaitForIdle() suffices).
-  Status SubmitBorrowed(StoredProcedure* proc);
-
-  /// Convenience for tests/examples: Submit + WaitForIdle.
-  Status RunSync(ProcedurePtr proc);
 
   /// Blocks until every transaction submitted so far has been executed
   /// and acknowledged (its execution thread's stripe is complete).
@@ -302,7 +295,7 @@ class BohmEngine {
   /// only; no-op while replaying).
   void LogSealedBatch(const Batch& batch, int64_t id);
 
-  /// Admission checks for Enqueue. On success `*cc_interest` is the mask
+  /// Admission checks for Submit. On success `*cc_interest` is the mask
   /// of CC threads that own a record of the footprint.
   Status CheckSubmit(const StoredProcedure* proc,
                      uint64_t* cc_interest) const;
@@ -343,6 +336,8 @@ class BohmEngine {
   /// A submitted transaction, pre-processed on the client thread so the
   /// sequencer need not read the procedure at all.
   struct InputItem {
+    /// Owned by the engine from Submit on; the sequencer hands it to the
+    /// batch slot, which destroys it when the slot is reused.
     StoredProcedure* proc = nullptr;
     /// MonotonicNanos() at Submit(); becomes BohmTxn::submit_tick.
     uint64_t submit_tick = 0;
@@ -350,7 +345,6 @@ class BohmEngine {
     uint64_t cc_interest = 0;
     /// Footprint size: the length of the transaction's version array.
     uint32_t records = 0;
-    bool owned = false;
   };
 
   Catalog catalog_;
@@ -362,7 +356,7 @@ class BohmEngine {
   /// at construction from the catalog.
   bool prefetch_ = false;
   BatchRing ring_;
-  MpmcQueue<InputItem> input_;
+  MpscQueue<InputItem> input_;  // consumer: the sequencer thread
   std::vector<std::unique_ptr<CcState>> cc_state_;
   /// Per-thread CC progress; execution admits batch b when Min() >= b.
   WatermarkSet cc_watermark_;
@@ -430,10 +424,6 @@ class BohmEngine {
   static_assert(alignof(LifecycleLine) == kCacheLineSize);
 
   ClientLine client_;
-  /// Accepts `proc` (owned: destroyed when its batch slot is reused),
-  /// pre-processes it and hands it to the sequencer; the one enqueue path
-  /// behind Submit, SubmitBorrowed and recovery replay.
-  Status Enqueue(StoredProcedure* proc, bool owned);
   SequencerLine seq_;
   SealLine sealed_;
   LifecycleLine life_;

@@ -84,7 +84,7 @@ void BohmEngine::SequencerLoop() {
       if (input_.TryPop(&item)) {
         wait.Reset();
         idle_mark = 0;
-        if (item.owned) batch->procs.emplace_back(item.proc);
+        batch->procs.emplace_back(item.proc);
         // The version array is left for the CC threads to fill.
         void* mem = batch->arena.Allocate(BohmTxn::BytesFor(item.records),
                                           alignof(BohmTxn));

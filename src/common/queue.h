@@ -1,7 +1,7 @@
 // Bounded lock-free queues.
 //
-//  * MpmcQueue — Vyukov's algorithm; the input queue between clients and
-//    the Bohm sequencer thread, also used by the harness drivers.
+//  * MpscQueue — multi-producer/single-consumer; the input queue between
+//    client threads and the Bohm sequencer thread.
 //  * SpscQueue — single-producer/single-consumer ring with cache-line-
 //    padded indices and cached peer indices; the ring carrying encoded
 //    batches from the Bohm sequencer to the log-writer thread.
@@ -19,10 +19,16 @@
 
 namespace bohm {
 
+/// Producers claim cells as in Vyukov's bounded MPMC queue: a CAS on
+/// `tail_`, then the value, then a release store of the cell's sequence
+/// word. The one consumer needs no claim: it owns `head_` as a plain
+/// field, acquires the sequence word of the cell at `head_`, and hands
+/// the cell back to producers with a release store once the value is
+/// moved out.
 template <typename T>
-class MpmcQueue {
+class MpscQueue {
  public:
-  explicit MpmcQueue(size_t capacity)
+  explicit MpscQueue(size_t capacity)
       : capacity_(capacity), mask_(capacity - 1),
         cells_(std::make_unique<Cell[]>(capacity)) {
     assert(capacity >= 2 && (capacity & (capacity - 1)) == 0 &&
@@ -33,9 +39,10 @@ class MpmcQueue {
       cells_[i].sequence.store(i, std::memory_order_relaxed);
     }
   }
-  BOHM_DISALLOW_COPY_AND_ASSIGN(MpmcQueue);
+  BOHM_DISALLOW_COPY_AND_ASSIGN(MpscQueue);
 
-  /// Non-blocking push; returns false when the queue is full.
+  /// Non-blocking push, from any thread; returns false when the queue is
+  /// full.
   bool TryPush(T value) {
     Cell* cell;
     // relaxed: tail_ is only a claim ticket; the cell's sequence word
@@ -65,32 +72,19 @@ class MpmcQueue {
     return true;
   }
 
-  /// Non-blocking pop; returns false when the queue is empty.
+  /// Non-blocking pop, from the consumer thread only; returns false when
+  /// the queue is empty (or its next cell is claimed but not yet
+  /// published).
   bool TryPop(T* out) {
-    Cell* cell;
-    // relaxed: head_ is only a claim ticket (see TryPush).
-    size_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      size_t seq = cell->sequence.load(std::memory_order_acquire);
-      intptr_t diff =
-          static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
-      if (diff == 0) {
-        // relaxed: CAS success only claims the ticket; the sequence
-        // acquire above ordered the value read.
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (diff < 0) {
-        return false;  // empty
-      } else {
-        // relaxed: re-read of the ticket counter.
-        pos = head_.load(std::memory_order_relaxed);
-      }
+    Cell* cell = &cells_[head_ & mask_];
+    if (cell->sequence.load(std::memory_order_acquire) != head_ + 1) {
+      return false;
     }
     *out = std::move(cell->value);
-    cell->sequence.store(pos + capacity_, std::memory_order_release);
+    // Only after the move: a producer may refill the cell once it sees
+    // this store.
+    cell->sequence.store(head_ + capacity_, std::memory_order_release);
+    ++head_;
     return true;
   }
 
@@ -112,7 +106,8 @@ class MpmcQueue {
   const size_t mask_;
   std::unique_ptr<Cell[]> cells_;
   alignas(kCacheLineSize) std::atomic<size_t> tail_{0};
-  alignas(kCacheLineSize) std::atomic<size_t> head_{0};
+  /// Consumer-private: read and written by the consumer thread only.
+  alignas(kCacheLineSize) size_t head_ = 0;
 };
 
 /// Bounded wait-free single-producer/single-consumer ring.

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/histogram.h"
 #include "common/macros.h"
@@ -103,7 +102,6 @@ struct StatsSnapshot {
                          : static_cast<double>(cc_aborts) /
                                static_cast<double>(attempts);
   }
-  std::string ToString() const;
 };
 
 /// The window between two snapshots of one engine, `earlier` taken first:

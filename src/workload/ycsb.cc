@@ -61,8 +61,11 @@ void YcsbRmwProcedure::Run(TxnOps& ops) {
 
 YcsbMixedProcedure::YcsbMixedProcedure(const std::vector<Key>& keys,
                                        uint32_t rmw_count,
-                                       uint32_t record_size)
-    : rmw_count_(rmw_count), record_size_(record_size) {
+                                       uint32_t record_size,
+                                       uint64_t* observed_sum)
+    : rmw_count_(rmw_count),
+      record_size_(record_size),
+      observed_sum_(observed_sum) {
   const auto n = static_cast<uint32_t>(keys.size());
   set_.Reserve(n + std::min(rmw_count_, n));
   for (uint32_t i = 0; i < n; ++i) {
@@ -75,7 +78,7 @@ YcsbMixedProcedure::YcsbMixedProcedure(const std::vector<Key>& keys,
 }
 
 void YcsbMixedProcedure::Run(TxnOps& ops) {
-  observed_sum_ = 0;
+  uint64_t sum = 0;
   const auto keys = set_.reads();  // constructor order: RMWs first
   for (uint32_t i = 0; i < keys.size(); ++i) {
     const void* old = ops.Read(kYcsbTableId, keys[i].key);
@@ -92,24 +95,28 @@ void YcsbMixedProcedure::Run(TxnOps& ops) {
       ++counter;
       std::memcpy(buf, &counter, sizeof(counter));
     } else {
-      observed_sum_ += counter;
+      sum += counter;
     }
   }
+  if (observed_sum_ != nullptr) *observed_sum_ = sum;
 }
 
-YcsbScanProcedure::YcsbScanProcedure(const std::vector<Key>& keys) {
+YcsbScanProcedure::YcsbScanProcedure(const std::vector<Key>& keys,
+                                     uint64_t* observed_sum)
+    : observed_sum_(observed_sum) {
   set_.Reserve(static_cast<uint32_t>(keys.size()));
   for (Key k : keys) set_.AddRead(kYcsbTableId, k);
 }
 
 void YcsbScanProcedure::Run(TxnOps& ops) {
-  observed_sum_ = 0;
+  uint64_t sum = 0;
   for (const RecordId& r : set_.reads()) {
     const void* p = ops.Read(kYcsbTableId, r.key);
     uint64_t counter = 0;
     if (p != nullptr) std::memcpy(&counter, p, sizeof(counter));
-    observed_sum_ += counter;
+    sum += counter;
   }
+  if (observed_sum_ != nullptr) *observed_sum_ = sum;
 }
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& cfg, uint64_t seed)

@@ -62,34 +62,31 @@ class YcsbRmwProcedure final : public StoredProcedure {
   uint32_t record_size_;
 };
 
-/// 2RMW-8R: keys[0..rmw_count) are RMWs, the rest are plain reads.
+/// 2RMW-8R: keys[0..rmw_count) are RMWs, the rest are plain reads. When
+/// `observed_sum` is non-null, Run stores there the sum of the counter
+/// prefixes its read portion saw (a test observable).
 class YcsbMixedProcedure final : public StoredProcedure {
  public:
   YcsbMixedProcedure(const std::vector<Key>& keys, uint32_t rmw_count,
-                     uint32_t record_size);
+                     uint32_t record_size, uint64_t* observed_sum = nullptr);
   void Run(TxnOps& ops) override;
-
-  /// Sum of counter prefixes observed by the read portion (prevents the
-  /// reads from being optimized away; also a test observable).
-  uint64_t observed_sum() const { return observed_sum_; }
 
  private:
   uint32_t rmw_count_;
   uint32_t record_size_;
-  uint64_t observed_sum_ = 0;
+  uint64_t* observed_sum_;
 };
 
 /// Long read-only transaction: reads `keys` and accumulates their counter
-/// prefixes.
+/// prefixes, stored to `observed_sum` when that is non-null.
 class YcsbScanProcedure final : public StoredProcedure {
  public:
-  explicit YcsbScanProcedure(const std::vector<Key>& keys);
+  explicit YcsbScanProcedure(const std::vector<Key>& keys,
+                             uint64_t* observed_sum = nullptr);
   void Run(TxnOps& ops) override;
 
-  uint64_t observed_sum() const { return observed_sum_; }
-
  private:
-  uint64_t observed_sum_ = 0;
+  uint64_t* observed_sum_;
 };
 
 /// Per-thread transaction generator.

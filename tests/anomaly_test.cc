@@ -134,9 +134,10 @@ TEST(AnomalyTest, SnapshotIsolationReadOnlySnapshotIsConsistent) {
   for (int i = 0; i < 100; ++i) {
     testutil::TransferProcedure xfer(0, i % 2, (i + 1) % 2, 1);
     ASSERT_TRUE(engine->Execute(xfer, 0).ok());
-    testutil::ReadPairProcedure reader(0, 0, 1);
+    uint64_t sum = 0;
+    testutil::ReadPairProcedure reader(0, 0, 1, &sum);
     ASSERT_TRUE(engine->Execute(reader, 1).ok());
-    EXPECT_EQ(reader.sum(), 2u);
+    EXPECT_EQ(sum, 2u);
   }
 }
 

@@ -16,6 +16,7 @@ namespace bohm {
 namespace {
 
 using testutil::OneTable;
+using testutil::RunSync;
 using testutil::WriteU64;
 
 /// Deletes one record.
@@ -69,13 +70,13 @@ TEST(BohmDeleteTest, DeletedRecordBecomesAbsent) {
   auto engine = MakeEngine(4, 77);
   bool supported = false;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<DeleteProcedure>(0, 1, &supported))
+      RunSync(*engine, std::make_unique<DeleteProcedure>(0, 1, &supported))
           .ok());
   EXPECT_TRUE(supported);
   uint64_t out = 0;
   bool found = true;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 1, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 1, &out, &found))
           .ok());
   EXPECT_FALSE(found);
   // Other records untouched.
@@ -90,8 +91,8 @@ TEST(BohmDeleteTest, ReadBeforeDeleteStillSeesValue) {
   auto engine = MakeEngine(4, 55);
   uint64_t out = 0;
   bool found = false;
-  auto probe = std::make_unique<GetProcedure>(0, 0, &out, &found);
-  ASSERT_TRUE(engine->SubmitBorrowed(probe.get()).ok());
+  ASSERT_TRUE(
+      engine->Submit(std::make_unique<GetProcedure>(0, 0, &out, &found)).ok());
   ASSERT_TRUE(engine->Submit(std::make_unique<DeleteProcedure>(0, 0)).ok());
   engine->WaitForIdle();
   EXPECT_TRUE(found);
@@ -100,7 +101,7 @@ TEST(BohmDeleteTest, ReadBeforeDeleteStillSeesValue) {
   uint64_t out2 = 0;
   bool found2 = true;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 0, &out2, &found2))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 0, &out2, &found2))
           .ok());
   EXPECT_FALSE(found2);
   engine->Stop();
@@ -132,7 +133,7 @@ TEST(BohmDeleteTest, IncrementAfterDeleteStartsFromZero) {
 
 TEST(BohmDeleteTest, AbortedDeleteKeepsRecord) {
   auto engine = MakeEngine(4, 33);
-  ASSERT_TRUE(engine->RunSync(std::make_unique<AbortedDelete>(0, 1)).ok());
+  ASSERT_TRUE(RunSync(*engine, std::make_unique<AbortedDelete>(0, 1)).ok());
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 1, &out).ok());
   EXPECT_EQ(out, 33u);
@@ -142,11 +143,11 @@ TEST(BohmDeleteTest, AbortedDeleteKeepsRecord) {
 TEST(BohmDeleteTest, DeleteAbsentRecordIsNoop) {
   auto engine = MakeEngine(2, 1);
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<DeleteProcedure>(0, 999)).ok());
+      RunSync(*engine, std::make_unique<DeleteProcedure>(0, 999)).ok());
   uint64_t out = 0;
   bool found = true;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 999, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 999, &out, &found))
           .ok());
   EXPECT_FALSE(found);
   engine->Stop();
@@ -208,7 +209,7 @@ TEST(BohmDeleteTest, TombstonesBeyondSixtyFourWrites) {
   const std::vector<Key> deleted = {65, 69};
   auto engine = MakeEngine(kWrites, 5);
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<WideDelete>(0, kWrites, deleted, 77,
+      RunSync(*engine, std::make_unique<WideDelete>(0, kWrites, deleted, 77,
                                                    /*abort=*/false))
           .ok());
   for (Key k = 0; k < kWrites; ++k) {
@@ -229,7 +230,7 @@ TEST(BohmDeleteTest, AbortAfterWideDeleteKeepsOldValues) {
   constexpr uint32_t kWrites = 70;
   auto engine = MakeEngine(kWrites, 5);
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<WideDelete>(0, kWrites,
+      RunSync(*engine, std::make_unique<WideDelete>(0, kWrites,
                                                    std::vector<Key>{65, 69},
                                                    77, /*abort=*/true))
           .ok());

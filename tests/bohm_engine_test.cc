@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <memory>
 #include <thread>
@@ -18,6 +19,7 @@ namespace bohm {
 namespace {
 
 using testutil::OneTable;
+using testutil::RunSync;
 
 std::unique_ptr<BohmEngine> MakeEngine(uint64_t keys, BohmConfig cfg,
                                        uint64_t initial = 0) {
@@ -132,7 +134,7 @@ TEST(BohmEngineTest, StartRejectsInterestMaskWiderThan64Threads) {
 
 TEST(BohmEngineTest, PutThenReadLatest) {
   auto engine = MakeEngine(8, BohmConfig{});
-  ASSERT_TRUE(engine->RunSync(std::make_unique<PutProcedure>(0, 3, 77)).ok());
+  ASSERT_TRUE(RunSync(*engine, std::make_unique<PutProcedure>(0, 3, 77)).ok());
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 3, &out).ok());
   EXPECT_EQ(out, 77u);
@@ -145,7 +147,7 @@ TEST(BohmEngineTest, GetSeesLoadedValue) {
   uint64_t out = 0;
   bool found = false;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 2, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 2, &out, &found))
           .ok());
   EXPECT_TRUE(found);
   EXPECT_EQ(out, 123u);
@@ -158,7 +160,7 @@ TEST(BohmEngineTest, ReadMissingKeySeesNull) {
   bool found = true;
   // Key 1000 was never loaded or written.
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 1000, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 1000, &out, &found))
           .ok());
   EXPECT_FALSE(found);
   engine->Stop();
@@ -167,11 +169,11 @@ TEST(BohmEngineTest, ReadMissingKeySeesNull) {
 TEST(BohmEngineTest, InsertNewKeyVisible) {
   auto engine = MakeEngine(4, BohmConfig{});
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<PutProcedure>(0, 500, 1)).ok());
+      RunSync(*engine, std::make_unique<PutProcedure>(0, 500, 1)).ok());
   uint64_t out = 0;
   bool found = false;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 500, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 500, &out, &found))
           .ok());
   EXPECT_TRUE(found);
   EXPECT_EQ(out, 1u);
@@ -198,7 +200,7 @@ TEST(BohmEngineTest, SequentialIncrementsAccumulate) {
 TEST(BohmEngineTest, LogicAbortLeavesValueUnchanged) {
   auto engine = MakeEngine(4, BohmConfig{}, /*initial=*/10);
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<testutil::AbortingIncrement>(0, 2))
+      RunSync(*engine, std::make_unique<testutil::AbortingIncrement>(0, 2))
           .ok());
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 2, &out).ok());
@@ -234,11 +236,11 @@ TEST(BohmEngineTest, AbortedInsertRemainsAbsent) {
       ops.Abort();
     }
   };
-  ASSERT_TRUE(engine->RunSync(std::make_unique<AbortingInsert>()).ok());
+  ASSERT_TRUE(RunSync(*engine, std::make_unique<AbortingInsert>()).ok());
   uint64_t out = 0;
   bool found = true;
   ASSERT_TRUE(
-      engine->RunSync(std::make_unique<GetProcedure>(0, 777, &out, &found))
+      RunSync(*engine, std::make_unique<GetProcedure>(0, 777, &out, &found))
           .ok());
   EXPECT_FALSE(found);
   engine->Stop();
@@ -300,15 +302,18 @@ TEST(BohmEngineTest, ReadOnlySeesConsistentSnapshot) {
   cfg.exec_threads = 2;
   cfg.batch_size = 8;
   auto engine = MakeEngine(2, cfg, /*initial=*/100);
-  // Result-carrying procedures stay caller-owned (SubmitBorrowed): the
-  // engine destroys Submit()-owned procedures when their batch slot is
-  // recycled.
-  std::vector<std::unique_ptr<testutil::ReadPairProcedure>> readers;
+  // The engine destroys each reader once its batch slot is recycled, so
+  // readers report into a deque: growing it never moves a slot a reader
+  // still writes.
+  std::deque<uint64_t> sums;
   Rng rng(9);
   for (int i = 0; i < 300; ++i) {
     if (i % 3 == 2) {
-      readers.push_back(std::make_unique<testutil::ReadPairProcedure>(0, 0, 1));
-      ASSERT_TRUE(engine->SubmitBorrowed(readers.back().get()).ok());
+      sums.push_back(0);
+      ASSERT_TRUE(engine
+                      ->Submit(std::make_unique<testutil::ReadPairProcedure>(
+                          0, 0, 1, &sums.back()))
+                      .ok());
     } else {
       ASSERT_TRUE(engine
                       ->Submit(std::make_unique<testutil::TransferProcedure>(
@@ -317,9 +322,7 @@ TEST(BohmEngineTest, ReadOnlySeesConsistentSnapshot) {
     }
   }
   engine->WaitForIdle();
-  for (const auto& r : readers) {
-    EXPECT_EQ(r->sum(), 200u);
-  }
+  for (uint64_t sum : sums) EXPECT_EQ(sum, 200u);
   engine->Stop();
 }
 
@@ -432,7 +435,7 @@ TEST(BohmEngineTest, HotKeyRmwChain) {
 
 TEST(BohmEngineTest, StatsCountReadsAndWrites) {
   auto engine = MakeEngine(4, BohmConfig{});
-  ASSERT_TRUE(engine->RunSync(std::make_unique<IncrementProcedure>(0, 1)).ok());
+  ASSERT_TRUE(RunSync(*engine, std::make_unique<IncrementProcedure>(0, 1)).ok());
   StatsSnapshot s = engine->Stats();
   EXPECT_EQ(s.reads, 1u);
   EXPECT_EQ(s.writes, 1u);
@@ -552,34 +555,6 @@ TEST(BohmEngineTest, OwnedProceduresDestroyedExactlyOnceAfterTheyRan) {
     ASSERT_EQ(ledger.ran[i], 1u) << "procedure " << i;
     ASSERT_EQ(ledger.destroyed[i], 1u) << "procedure " << i;
   }
-  EXPECT_EQ(ledger.destroyed_before_run, 0u);
-}
-
-TEST(BohmEngineTest, BorrowedProceduresAreNeverDestroyed) {
-  // Odd ids are borrowed, even ids owned, interleaved in the same batches.
-  constexpr size_t kN = 1000;
-  Ledger ledger(kN);
-  std::vector<std::unique_ptr<CountedProcedure>> borrowed;
-  {
-    auto engine = MakeEngine(64, SmallRingConfig());
-    for (size_t i = 0; i < kN; ++i) {
-      auto proc = std::make_unique<CountedProcedure>(
-          &ledger, i, static_cast<Key>(i % 64));
-      if (i % 2 == 1) {
-        ASSERT_TRUE(engine->SubmitBorrowed(proc.get()).ok());
-        borrowed.push_back(std::move(proc));
-      } else {
-        ASSERT_TRUE(engine->Submit(std::move(proc)).ok());
-      }
-    }
-    engine->Stop();
-  }
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(ledger.ran[i], 1u) << "procedure " << i;
-    ASSERT_EQ(ledger.destroyed[i], i % 2 == 0 ? 1u : 0u) << "procedure " << i;
-  }
-  borrowed.clear();
-  for (size_t i = 1; i < kN; i += 2) ASSERT_EQ(ledger.destroyed[i], 1u);
   EXPECT_EQ(ledger.destroyed_before_run, 0u);
 }
 

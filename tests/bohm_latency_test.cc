@@ -17,7 +17,6 @@
 #include "common/rand.h"
 #include "harness/driver.h"
 #include "test_util.h"
-#include "workload/micro.h"
 
 namespace bohm {
 namespace {

@@ -16,6 +16,7 @@ namespace bohm {
 namespace {
 
 using testutil::OneTable;
+using testutil::RunSync;
 
 TEST(BohmPipelineTest, MultipleClientThreadsSubmitConcurrently) {
   BohmConfig cfg;
@@ -87,7 +88,7 @@ TEST(BohmPipelineTest, PartialBatchSealsWithoutMoreInput) {
   uint64_t zero = 0;
   ASSERT_TRUE(engine.Load(0, 0, &zero).ok());
   ASSERT_TRUE(engine.Start().ok());
-  ASSERT_TRUE(engine.RunSync(std::make_unique<IncrementProcedure>(0, 0)).ok());
+  ASSERT_TRUE(RunSync(engine, std::make_unique<IncrementProcedure>(0, 0)).ok());
   uint64_t out = 0;
   ASSERT_TRUE(engine.ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, 1u);
@@ -219,16 +220,16 @@ TEST(BohmPipelineTest, EmptyFootprintTransactionCompletes) {
   ASSERT_TRUE(engine.Start().ok());
   class Noop final : public StoredProcedure {
    public:
-    void Run(TxnOps&) override { ran = true; }
-    bool ran = false;
+    explicit Noop(bool* ran) : ran_(ran) {}
+    void Run(TxnOps&) override { *ran_ = true; }
+
+   private:
+    bool* ran_;
   };
-  auto noop = std::make_unique<Noop>();
-  Noop* raw = noop.get();
-  ASSERT_TRUE(engine.SubmitBorrowed(raw).ok());
-  engine.WaitForIdle();
-  EXPECT_TRUE(raw->ran);
+  bool ran = false;
+  ASSERT_TRUE(RunSync(engine, std::make_unique<Noop>(&ran)).ok());
+  EXPECT_TRUE(ran);
   EXPECT_EQ(engine.Stats().commits, 1u);
-  (void)noop;
   engine.Stop();
 }
 

@@ -8,7 +8,6 @@
 #include "harness/engines.h"
 #include "harness/figures.h"
 #include "test_util.h"
-#include "workload/micro.h"
 
 namespace bohm {
 namespace {

@@ -601,8 +601,8 @@ TEST_F(RecoveryTest, NonLoggableWriterRejectedUnderDurability) {
   // change nothing) and stay admitted.
   uint64_t out = 0;
   bool found = false;
-  GetProcedure get(0, 1, &out, &found);
-  ASSERT_TRUE(engine->SubmitBorrowed(&get).ok());
+  ASSERT_TRUE(
+      engine->Submit(std::make_unique<GetProcedure>(0, 1, &out, &found)).ok());
   engine->WaitForIdle();
   EXPECT_TRUE(found);
   engine->Stop();

@@ -330,9 +330,10 @@ TEST(MVOccTest, SnapshotReadsIgnoreLaterCommits) {
       }
     });
     for (int i = 0; i < 300; ++i) {
-      testutil::ReadPairProcedure reader(0, 0, 1);
+      uint64_t sum = 0;
+      testutil::ReadPairProcedure reader(0, 0, 1, &sum);
       ASSERT_TRUE(engine->Execute(reader, 2).ok());
-      if (reader.sum() != 200) violated.store(true);
+      if (sum != 200) violated.store(true);
     }
     stop.store(true);
     writer1.join();

@@ -3,15 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 namespace bohm {
 namespace {
 
-TEST(MpmcQueueTest, PushPopSingleThread) {
-  MpmcQueue<int> q(8);
+TEST(MpscQueueTest, PushPopSingleThread) {
+  MpscQueue<int> q(8);
   EXPECT_TRUE(q.TryPush(1));
   EXPECT_TRUE(q.TryPush(2));
   int v = 0;
@@ -21,20 +20,20 @@ TEST(MpmcQueueTest, PushPopSingleThread) {
   EXPECT_EQ(v, 2);
 }
 
-TEST(MpmcQueueTest, EmptyPopFails) {
-  MpmcQueue<int> q(8);
+TEST(MpscQueueTest, EmptyPopFails) {
+  MpscQueue<int> q(8);
   int v;
   EXPECT_FALSE(q.TryPop(&v));
 }
 
-TEST(MpmcQueueTest, FullPushFails) {
-  MpmcQueue<int> q(4);
+TEST(MpscQueueTest, FullPushFails) {
+  MpscQueue<int> q(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(i));
   EXPECT_FALSE(q.TryPush(99));
 }
 
-TEST(MpmcQueueTest, FifoWithinCapacityCycles) {
-  MpmcQueue<int> q(4);
+TEST(MpscQueueTest, FifoWithinCapacityCycles) {
+  MpscQueue<int> q(4);
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.TryPush(round * 4 + i));
     for (int i = 0; i < 4; ++i) {
@@ -45,61 +44,54 @@ TEST(MpmcQueueTest, FifoWithinCapacityCycles) {
   }
 }
 
-TEST(MpmcQueueTest, MovesUniquePtrs) {
-  MpmcQueue<std::unique_ptr<int>> q(4);
+TEST(MpscQueueTest, MovesUniquePtrs) {
+  MpscQueue<std::unique_ptr<int>> q(4);
   q.Push(std::make_unique<int>(5));
   std::unique_ptr<int> out;
   ASSERT_TRUE(q.TryPop(&out));
   EXPECT_EQ(*out, 5);
 }
 
-TEST(MpmcQueueTest, ConcurrentProducersConsumersConserveSum) {
-  // 4 producers push 5000 values each; 4 consumers drain them. The sum of
-  // consumed values must equal the sum of produced values, with no loss
-  // and no duplication.
-  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 5000;
-  MpmcQueue<uint64_t> q(256);
-  std::atomic<uint64_t> consumed_sum{0};
-  std::atomic<int> consumed_count{0};
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> threads;
+TEST(MpscQueueTest, ConcurrentProducersArriveOnceInPushOrder) {
+  // 4 producers push 5000 values each through a small ring, so cells are
+  // reused many times while producers wait on them; the one consumer
+  // drains it. Each producer's values must arrive exactly once and in the
+  // order it pushed them (no loss, no duplication, per-producer FIFO).
+  constexpr int kProducers = 4, kPerProducer = 5000;
+  MpscQueue<uint64_t> q(16);
+  std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
+    producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         q.Push(static_cast<uint64_t>(p * kPerProducer + i));
       }
     });
   }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      uint64_t v;
-      while (!done.load(std::memory_order_acquire) ||
-             consumed_count.load(std::memory_order_acquire) <
-                 kProducers * kPerProducer) {
-        if (q.TryPop(&v)) {
-          consumed_sum.fetch_add(v, std::memory_order_relaxed);
-          consumed_count.fetch_add(1, std::memory_order_acq_rel);
-        } else {
-          std::this_thread::yield();
-        }
-        if (consumed_count.load(std::memory_order_acquire) ==
-            kProducers * kPerProducer) {
-          break;
-        }
-      }
-    });
-  }
-  for (size_t i = 0; i < static_cast<size_t>(kProducers); ++i) {
-    threads[i].join();
-  }
-  done.store(true, std::memory_order_release);
-  for (size_t i = kProducers; i < threads.size(); ++i) threads[i].join();
-
   const uint64_t total = static_cast<uint64_t>(kProducers) * kPerProducer;
-  uint64_t expected = total * (total - 1) / 2;
-  EXPECT_EQ(consumed_count.load(), static_cast<int>(total));
-  EXPECT_EQ(consumed_sum.load(), expected);
+  std::vector<uint64_t> next(kProducers, 0);  // next index, per producer
+  uint64_t consumed_sum = 0, misplaced = 0;
+  for (uint64_t consumed = 0; consumed < total;) {
+    uint64_t v;
+    if (!q.TryPop(&v)) {
+      std::this_thread::yield();
+      continue;
+    }
+    // Keep draining on a mismatch so the producers can finish.
+    const uint64_t p = v / kPerProducer;
+    if (p < next.size() && v % kPerProducer == next[p]) {
+      ++next[p];
+    } else {
+      ++misplaced;
+    }
+    consumed_sum += v;
+    ++consumed;
+  }
+  for (auto& t : producers) t.join();
+  uint64_t v;
+  EXPECT_FALSE(q.TryPop(&v));
+  EXPECT_EQ(misplaced, 0u) << "values out of order, duplicated or lost";
+  for (uint64_t n : next) EXPECT_EQ(n, static_cast<uint64_t>(kPerProducer));
+  EXPECT_EQ(consumed_sum, total * (total - 1) / 2);
 }
 
 // ---------------------------------------------------------------------------

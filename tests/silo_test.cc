@@ -167,9 +167,10 @@ TEST(SiloTest, ReadersSeeConsistentPairs) {
     });
   }
   for (int i = 0; i < 400; ++i) {
-    testutil::ReadPairProcedure reader(0, 0, 1);
+    uint64_t sum = 0;
+    testutil::ReadPairProcedure reader(0, 0, 1, &sum);
     ASSERT_TRUE(engine->Execute(reader, 2).ok());
-    if (reader.sum() != 200) violated.store(true);
+    if (sum != 200) violated.store(true);
   }
   stop.store(true);
   for (auto& w : writers) w.join();

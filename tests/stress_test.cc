@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -36,21 +37,21 @@ TEST(StressTest, BohmHighChurnWithReadersAndAborts) {
   ASSERT_TRUE(engine.Start().ok());
 
   constexpr int kClients = 3, kPerClient = 1500;
-  std::vector<std::vector<std::unique_ptr<testutil::ReadPairProcedure>>>
-      readers(kClients);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(7000 + c);
       for (int i = 0; i < kPerClient; ++i) {
         switch (rng.Uniform(4)) {
-          case 0: {
-            readers[c].push_back(
-                std::make_unique<testutil::ReadPairProcedure>(0, 0, 1));
-            ASSERT_TRUE(
-                engine.SubmitBorrowed(readers[c].back().get()).ok());
+          case 0:
+            // Keys 0 and 1 exchange money with 2 and 3 too, so the pair
+            // sum is not invariant: the reader only has to complete, and
+            // the table total below checks the snapshot property.
+            ASSERT_TRUE(engine
+                            .Submit(std::make_unique<testutil::ReadPairProcedure>(
+                                0, 0, 1, nullptr))
+                            .ok());
             break;
-          }
           case 1:
             ASSERT_TRUE(engine
                             .Submit(std::make_unique<testutil::AbortingIncrement>(
@@ -72,17 +73,6 @@ TEST(StressTest, BohmHighChurnWithReadersAndAborts) {
   }
   for (auto& c : clients) c.join();
   engine.WaitForIdle();
-
-  // Pair sums observed by every reader must equal the (fixed) pair total.
-  for (const auto& per_client : readers) {
-    for (const auto& r : per_client) {
-      // Keys 0 and 1 exchange money with 2 and 3 too, so the PAIR sum is
-      // not invariant — but the snapshot property still means the reader
-      // saw values from one consistent cut; verify via the table total
-      // instead below. Here we only require the reads completed.
-      (void)r;
-    }
-  }
   uint64_t total = 0;
   for (Key k = 0; k < kKeys; ++k) {
     uint64_t v = 0;
@@ -109,26 +99,27 @@ TEST(StressTest, BohmFullTableScansAlwaysSeeInvariantTotal) {
 
   class ScanAll final : public StoredProcedure {
    public:
-    explicit ScanAll(uint64_t keys) : keys_(keys) {
+    ScanAll(uint64_t keys, uint64_t* sum) : keys_(keys), sum_(sum) {
       for (Key k = 0; k < keys; ++k) set_.AddRead(0, k);
     }
     void Run(TxnOps& ops) override {
-      sum_ = 0;
-      for (Key k = 0; k < keys_; ++k) sum_ += testutil::ReadU64(ops, 0, k);
+      uint64_t sum = 0;
+      for (Key k = 0; k < keys_; ++k) sum += testutil::ReadU64(ops, 0, k);
+      *sum_ = sum;
     }
-    uint64_t sum() const { return sum_; }
 
    private:
     uint64_t keys_;
-    uint64_t sum_ = 0;
+    uint64_t* sum_;
   };
 
-  std::vector<std::unique_ptr<ScanAll>> scans;
+  std::deque<uint64_t> sums;  // never moves a slot a scan still writes
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
     if (i % 7 == 3) {
-      scans.push_back(std::make_unique<ScanAll>(kKeys));
-      ASSERT_TRUE(engine.SubmitBorrowed(scans.back().get()).ok());
+      sums.push_back(0);
+      ASSERT_TRUE(
+          engine.Submit(std::make_unique<ScanAll>(kKeys, &sums.back())).ok());
     } else {
       Key src = rng.Uniform(kKeys);
       Key dst = rng.Uniform(kKeys);
@@ -140,7 +131,7 @@ TEST(StressTest, BohmFullTableScansAlwaysSeeInvariantTotal) {
     }
   }
   engine.WaitForIdle();
-  for (const auto& s : scans) EXPECT_EQ(s->sum(), kKeys * kInitial);
+  for (uint64_t sum : sums) EXPECT_EQ(sum, kKeys * kInitial);
   engine.Stop();
 }
 

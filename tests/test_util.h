@@ -1,6 +1,7 @@
 // Shared helpers for engine tests: small catalogs, arithmetic procedures
-// with declared footprints, and a timed rendezvous used to force genuine
-// transaction overlap in the anomaly tests.
+// with declared footprints, a synchronous Bohm submit, and a timed
+// rendezvous used to force genuine transaction overlap in the anomaly
+// tests.
 #pragma once
 
 #include <atomic>
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <thread>
 
+#include "bohm/engine.h"
 #include "storage/schema.h"
 #include "txn/procedure.h"
 
@@ -24,6 +26,13 @@ inline Catalog OneTable(uint64_t capacity, TableId id = 0) {
   Catalog c;
   (void)c.AddTable(std::move(spec));
   return c;
+}
+
+/// Submits `proc` and waits until the engine has executed it.
+inline Status RunSync(BohmEngine& engine, ProcedurePtr proc) {
+  BOHM_RETURN_NOT_OK(engine.Submit(std::move(proc)));
+  engine.WaitForIdle();
+  return Status::OK();
 }
 
 inline uint64_t ReadU64(TxnOps& ops, TableId t, Key k, bool* found = nullptr) {
@@ -62,25 +71,24 @@ class TransferProcedure final : public StoredProcedure {
   uint64_t amount_;
 };
 
-/// Reads two records and stores their values (snapshot-consistency probe).
+/// Reads two records and stores the sum of their values to `*sum` when
+/// `sum` is non-null (snapshot-consistency probe).
 class ReadPairProcedure final : public StoredProcedure {
  public:
-  ReadPairProcedure(TableId table, Key a, Key b) : table_(table), a_(a), b_(b) {
+  ReadPairProcedure(TableId table, Key a, Key b, uint64_t* sum)
+      : table_(table), a_(a), b_(b), sum_(sum) {
     set_.AddRead(table, a);
     set_.AddRead(table, b);
   }
   void Run(TxnOps& ops) override {
-    va_ = ReadU64(ops, table_, a_);
-    vb_ = ReadU64(ops, table_, b_);
+    const uint64_t sum = ReadU64(ops, table_, a_) + ReadU64(ops, table_, b_);
+    if (sum_ != nullptr) *sum_ = sum;
   }
-  uint64_t sum() const { return va_ + vb_; }
-  uint64_t a() const { return va_; }
-  uint64_t b() const { return vb_; }
 
  private:
   TableId table_;
   Key a_, b_;
-  uint64_t va_ = 0, vb_ = 0;
+  uint64_t* sum_;
 };
 
 /// dst := src * factor — the building block of the write-skew tests

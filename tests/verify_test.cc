@@ -138,11 +138,11 @@ TEST(TraceGraphTest, ReadOfOverwrittenVersionGetsRwEdge) {
 // ---------- End-to-end: Bohm execution graphs ----------
 
 /// Verification transaction: RMWs `keys`, writing unique values that
-/// encode its id, and recording everything it observed.
+/// encode its id, and recording everything it observed into `*trace`.
 class TracedRmw final : public StoredProcedure {
  public:
-  TracedRmw(uint64_t id, std::vector<Key> keys)
-      : id_(id), keys_(std::move(keys)) {
+  TracedRmw(uint64_t id, std::vector<Key> keys, TraceTxn* trace)
+      : id_(id), keys_(std::move(keys)), trace_(*trace) {
     for (Key k : keys_) set_.AddRmw(0, k);
   }
 
@@ -169,12 +169,10 @@ class TracedRmw final : public StoredProcedure {
   }
   static uint64_t DecodeWriter(uint64_t value) { return value >> 16; }
 
-  const TraceTxn& trace() const { return trace_; }
-
  private:
   uint64_t id_;
   std::vector<Key> keys_;
-  TraceTxn trace_;
+  TraceTxn& trace_;
 };
 
 TEST(BohmGraphTest, RandomExecutionGraphAcyclicAndTsOrdered) {
@@ -190,7 +188,8 @@ TEST(BohmGraphTest, RandomExecutionGraphAcyclicAndTsOrdered) {
   for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
   ASSERT_TRUE(engine.Start().ok());
 
-  std::vector<std::unique_ptr<TracedRmw>> txns;
+  // Sized up front: a trace slot never moves while its transaction runs.
+  std::vector<TraceTxn> traces(kTxns);
   Rng rng(8080);
   for (int i = 0; i < kTxns; ++i) {
     uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(3));
@@ -201,9 +200,10 @@ TEST(BohmGraphTest, RandomExecutionGraphAcyclicAndTsOrdered) {
         keys.push_back(k);
       }
     }
-    txns.push_back(
-        std::make_unique<TracedRmw>(static_cast<uint64_t>(i + 1), keys));
-    ASSERT_TRUE(engine.SubmitBorrowed(txns.back().get()).ok());
+    ASSERT_TRUE(engine
+                    .Submit(std::make_unique<TracedRmw>(
+                        static_cast<uint64_t>(i + 1), keys, &traces[i]))
+                    .ok());
   }
   engine.WaitForIdle();
 
@@ -227,10 +227,6 @@ TEST(BohmGraphTest, RandomExecutionGraphAcyclicAndTsOrdered) {
                            writers_newest_first.rend());
     histories[RecordId{0, k}] = std::move(hist);
   }
-
-  std::vector<TraceTxn> traces;
-  traces.reserve(txns.size());
-  for (const auto& t : txns) traces.push_back(t->trace());
 
   SerializationGraph graph = BuildSerializationGraph(traces, histories);
   EXPECT_EQ(graph.NodeCount(), static_cast<size_t>(kTxns));
