@@ -302,10 +302,7 @@ TEST(BohmEngineTest, ReadOnlySeesConsistentSnapshot) {
   cfg.exec_threads = 2;
   cfg.batch_size = 8;
   auto engine = MakeEngine(2, cfg, /*initial=*/100);
-  // The engine destroys each reader once its batch slot is recycled, so
-  // readers report into a deque: growing it never moves a slot a reader
-  // still writes.
-  std::deque<uint64_t> sums;
+  std::deque<uint64_t> sums;  // never moves a slot a reader still writes
   Rng rng(9);
   for (int i = 0; i < 300; ++i) {
     if (i % 3 == 2) {
