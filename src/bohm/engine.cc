@@ -144,7 +144,8 @@ Status BohmEngine::Start() {
       life_.started.store(false, std::memory_order_release);
       return opened;
     }
-    log_writer_->Start();
+    // Unpinned, and not counted for pinning: it waits on the disk.
+    threads_.emplace_back([this] { LogLoop(); });
   }
   const bool pin =
       cfg_.pin_threads &&
@@ -179,13 +180,11 @@ void BohmEngine::Stop() {
     while (!life_.stopped.load(std::memory_order_acquire)) wait.Pause();
     return;
   }
+  // The log thread exits after logging the last sealed batch, with a
+  // final sync under every policy: a clean shutdown leaves a fully
+  // durable log even with unflushed group-commit buffers.
   for (auto& t : threads_) t.join();
   threads_.clear();
-  // The sequencer (the writer's only producer) has joined, so the ring
-  // receives nothing more: Stop drains what is enqueued, issues the final
-  // sync, and closes the segment — a clean shutdown leaves a fully
-  // durable log even with unflushed group-commit buffers.
-  if (log_writer_ != nullptr) log_writer_->Stop();
   life_.stopped.store(true, std::memory_order_release);
 }
 
@@ -294,7 +293,6 @@ StatsSnapshot BohmEngine::Stats() const {
   s.seq_idle_ns = seq_idle_.ns.Get();
   for (const auto& st : cc_stall_) s.cc_stall_ns += st->ns.Get();
   for (const auto& st : exec_stall_) s.exec_stall_ns += st->ns.Get();
-  s.log_stall_ns = seq_log_stall_.ns.Get();
   for (const auto& st : exec_log_stall_) s.log_stall_ns += st->ns.Get();
   if (log_writer_ != nullptr) {
     s.log_bytes = log_writer_->bytes_written();
@@ -355,10 +353,11 @@ Status BohmEngine::Recover() {
   // re-using the old batch boundaries, which is legal precisely because
   // the replay above preserved the total order — only the (seqno, batch
   // id) correspondence moved. Re-anchor it: the next sealed batch
-  // (last_sealed_batch + 1) must get seqno last_seqno + 1.
-  const int64_t sealed = last_sealed_batch();
-  const uint64_t last_seqno = recovery_stats_.last_seqno;
-  life_.log_base = last_seqno + 1 - static_cast<uint64_t>(sealed + 1);
+  // (last_sealed_batch + 1) is the log thread's first and must get seqno
+  // last_seqno + 1.
+  life_.log_first_batch = last_sealed_batch() + 1;
+  life_.log_base = recovery_stats_.last_seqno + 1 -
+                   static_cast<uint64_t>(life_.log_first_batch);
   life_.replaying.store(false, std::memory_order_release);
   return Status::OK();
 }

@@ -22,12 +22,15 @@
 //          acknowledges its stripe's commits once the stripe is complete,
 //          and publishes a per-thread completion watermark from which the
 //          GC / slot-reuse low-watermark is folded (Section 3.3.2).
+//   With durability on, one log thread also walks the sealed batches: it
+//   reads each from its slot and appends it to the log (Section 2.3),
+//   and execution admits batch b only once it is durable.
 //
 // Every hand-off between stages is a watermark: the sequencer publishes
 // the last sealed batch id, CC and exec threads their per-thread
-// progress, and each stage counts batch ids 0, 1, 2, ... itself, waiting
-// (bounded spin, yielding under oversubscription) until its upstream
-// watermark reaches the next one.
+// progress, the log thread the durable seqno, and each stage counts
+// batch ids 0, 1, 2, ... itself, waiting (bounded spin, yielding under
+// oversubscription) until its upstream watermark reaches the next one.
 //
 // Reads never block writes; writes may block reads (only on placeholder
 // data not yet produced). No global timestamp counter, no lock manager, no
@@ -150,7 +153,7 @@ class BohmEngine {
   Status Load(TableId table, Key key, const void* payload);
 
   /// Spawns the sequencer, CC, and execution threads. With durability
-  /// enabled, also opens the log and starts the log-writer thread; fails
+  /// enabled, also opens the log and starts the log thread; fails
   /// with FailedPrecondition if the log directory already holds segments
   /// and Recover() was not called first (silently continuing would fork
   /// the seqno history).
@@ -167,7 +170,7 @@ class BohmEngine {
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  /// True once the durable-log writer has hit an I/O error: logging has
+  /// True once the durable log has hit an I/O error: logging has
   /// stopped, already-acknowledged commits remain durable, and Submit
   /// rejects new work (the engine is degraded, not wrong).
   bool log_degraded() const {
@@ -291,9 +294,10 @@ class BohmEngine {
   // --- sequencer stage (sequencer.cc) ---
   void SequencerLoop();
   void SealBatch(Batch* batch, int64_t id);
-  /// Encodes + hands the sealed batch to the log writer (sequencer thread
-  /// only; no-op while replaying).
-  void LogSealedBatch(const Batch& batch, int64_t id);
+
+  // --- durable-log stage (log_stage.cc) ---
+  /// The log thread: appends every batch sealed after replay to the log.
+  void LogLoop();
 
   /// Admission checks for Submit. On success `*cc_interest` is the mask
   /// of CC threads that own a record of the footprint.
@@ -370,12 +374,11 @@ class BohmEngine {
   std::vector<std::unique_ptr<StallSlot>> exec_stall_;
   std::shared_ptr<const BohmTestHooks> hooks_;
 
-  /// Durable-log state (null when durability is off). Declaration order
-  /// matters: the writer references the log, so it is declared after it
-  /// (destroyed first).
+  /// Durable-log state (null when durability is off), owned by the log
+  /// thread. Declaration order matters: the writer references the log, so
+  /// it is declared after it (destroyed first).
   std::unique_ptr<BatchLog> log_;
   std::unique_ptr<LogWriter> log_writer_;
-  StallSlot seq_log_stall_;  ///< sequencer blocked on the writer ring
   /// Per-exec-thread durable-ack wait (rule R6 gate).
   std::vector<std::unique_ptr<StallSlot>> exec_log_stall_;
   bool recovered_ = false;  // Recover() ran (gates Start's nonempty check)
@@ -385,43 +388,46 @@ class BohmEngine {
 
   // One writer per hot cache line (docs/CONCURRENCY.md, rule R9): the
   // mutable words written per transaction or per batch are grouped by
-  // the thread that writes them, each group on lines of its own, so a
-  // client's Submit never pulls the sequencer's line away from it.
+  // the thread that writes them, each group on a line pair of its own, so
+  // a client's Submit never pulls the sequencer's line away from it.
 
   /// Written by client threads, once per accepted Submit.
-  struct alignas(kCacheLineSize) ClientLine {
+  struct alignas(kLinePairSize) ClientLine {
     std::atomic<uint64_t> submitted{0};
   };
   /// Sequencer-private: plain fields only the sequencer thread touches.
-  struct alignas(kCacheLineSize) SequencerLine {
+  struct alignas(kLinePairSize) SequencerLine {
     int64_t next_batch_id = 0;
-    /// Scratch for batch payload encoding.
-    std::vector<const StoredProcedure*> log_txn_scratch;
   };
   /// Published by the sequencer once per sealed batch (and once at exit).
-  struct alignas(kCacheLineSize) SealLine {
+  struct alignas(kLinePairSize) SealLine {
     std::atomic<int64_t> last_sealed_batch{-1};
     std::atomic<bool> sequencer_done{false};
   };
   /// Lifecycle state: written a few times per engine lifetime, read on
   /// every Submit and per batch.
-  struct alignas(kCacheLineSize) LifecycleLine {
+  struct alignas(kLinePairSize) LifecycleLine {
     std::atomic<bool> started{false};
     std::atomic<bool> stopping{false};
     std::atomic<bool> stopped{false};
     /// True while Recover() is pushing the old log back through the
     /// pipeline: suppresses re-logging and the durable-ack gate. The
-    /// release store back to false publishes log_base (rule R6).
+    /// release store back to false publishes log_base and
+    /// log_first_batch (rule R6).
     std::atomic<bool> replaying{false};
     /// seqno of batch id b is log_base + b; seqno 0 is reserved. Written
-    /// by Recover() before replaying returns to false; read by the
-    /// sequencer and exec threads only when replaying is false.
+    /// by Recover() before replaying returns to false; read by the log
+    /// and exec threads only when replaying is false.
     uint64_t log_base = 1;
+    /// The first batch sealed after replay: the log thread's first
+    /// record, and the first batch execution gates on durability. Written
+    /// and read like log_base.
+    int64_t log_first_batch = 0;
   };
-  static_assert(alignof(ClientLine) == kCacheLineSize);
-  static_assert(alignof(SequencerLine) == kCacheLineSize);
-  static_assert(alignof(SealLine) == kCacheLineSize);
-  static_assert(alignof(LifecycleLine) == kCacheLineSize);
+  static_assert(alignof(ClientLine) == kLinePairSize);
+  static_assert(alignof(SequencerLine) == kLinePairSize);
+  static_assert(alignof(SealLine) == kLinePairSize);
+  static_assert(alignof(LifecycleLine) == kLinePairSize);
 
   ClientLine client_;
   SequencerLine seq_;

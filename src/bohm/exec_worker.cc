@@ -133,12 +133,14 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // Durable-ack gate (docs/CONCURRENCY.md rule R6): a batch may execute
     // — and therefore acknowledge commits — only once its log record is
     // durable, so "acknowledged" always implies "survives a crash". Off
-    // during replay (those batches are durable by definition) and broken
-    // by a writer failure: the engine then degrades to non-durable
+    // for replayed batches (durable by definition, and never logged
+    // again, even when this thread reaches one after replay ended) and
+    // broken by a log failure: the engine then degrades to non-durable
     // execution of in-flight work while Submit rejects anything new,
     // rather than wedging shutdown on a watermark that will never move.
     if (log_writer_ != nullptr &&
-        !life_.replaying.load(std::memory_order_acquire)) {
+        !life_.replaying.load(std::memory_order_acquire) &&
+        b >= life_.log_first_batch) {
       const uint64_t need = life_.log_base + static_cast<uint64_t>(b);
       AwaitCharged(*exec_log_stall_[exec_id], [&] {
         return log_writer_->durable_seqno() >= need || log_writer_->failed();

@@ -12,45 +12,15 @@
 
 #include "common/spin.h"
 #include "bohm/engine.h"
-#include "log/codec.h"
 
 namespace bohm {
 
-// Hands the sealed batch to the log-writer thread (sequencer thread
-// only). Runs *before* the batch is announced to the pipeline so the
-// writer sees records in exactly seal order; the only wait here is ring
-// back-pressure, attributed to the log stall counter. Every sealed batch
-// gets a record — even one whose transactions are all non-loggable
-// read-only observers produces an (empty) record, because the durable-ack
-// gate in ExecLoop waits for seqno log_base + id and seqnos must stay
-// dense for the recovery scan.
-void BohmEngine::LogSealedBatch(const Batch& batch, int64_t id) {
-  if (log_writer_ == nullptr) return;
-  if (life_.replaying.load(std::memory_order_acquire)) return;
-  // Degraded mode: the log is dead, Submit is already rejecting; batches
-  // still in flight execute without durability rather than wedging.
-  if (log_writer_->failed()) return;
-  seq_.log_txn_scratch.clear();
-  for (const BohmTxn* txn : batch.txns) {
-    if (txn->proc->codec_id() != kNotLoggable) {
-      seq_.log_txn_scratch.push_back(txn->proc);
-    }
-  }
-  std::string payload;
-  EncodeBatchPayload(&payload, seq_.log_txn_scratch);
-  const uint64_t stall_ns =
-      log_writer_->Append(life_.log_base + static_cast<uint64_t>(id),
-                          std::move(payload));
-  if (stall_ns != 0) seq_log_stall_.ns.Inc(stall_ns);
-}
-
 void BohmEngine::SealBatch(Batch* batch, int64_t id) {
   batch->id = id;
-  LogSealedBatch(*batch, id);
   // Publish the sealed batch: this release store orders every slot write
   // the sequencer made before it, and CC threads admit batch `id` by
-  // acquiring it (docs/CONCURRENCY.md rule R5). Ids are dense, so each
-  // consumer counts them itself.
+  // acquiring it, as does the log thread (docs/CONCURRENCY.md rules R5,
+  // R6). Ids are dense, so each consumer counts them itself.
   sealed_.last_sealed_batch.store(id, std::memory_order_release);
 }
 

@@ -32,10 +32,4 @@ void RetireQueue::Grow() {
   mask_ = ring_.size() - 1;
 }
 
-size_t VersionAllocator::FreeCount() const {
-  size_t n = 0;
-  for (const auto& l : free_lists_) n += l.size();
-  return n;
-}
-
 }  // namespace bohm

@@ -98,8 +98,6 @@ class VersionAllocator {
     if (ahead < list.size()) PrefetchWrite(list[list.size() - 1 - ahead]);
   }
 
-  /// Number of versions currently parked on free lists (test hook).
-  size_t FreeCount() const;
   size_t allocated_bytes() const { return arena_.allocated_bytes(); }
   const Arena& arena() const { return arena_; }
 

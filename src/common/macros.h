@@ -9,6 +9,12 @@
 // traffic; false sharing would silently reintroduce it).
 inline constexpr std::size_t kCacheLineSize = 64;
 
+// Adjacent-line prefetchers (Intel's spatial prefetcher) fetch lines in
+// aligned 128-byte pairs, so two writers on the two lines of one pair
+// still contend. Neighbouring groups with different writers are aligned
+// to a whole pair.
+inline constexpr std::size_t kLinePairSize = 2 * kCacheLineSize;
+
 #define BOHM_DISALLOW_COPY_AND_ASSIGN(T) \
   T(const T&) = delete;                  \
   T& operator=(const T&) = delete

@@ -88,11 +88,10 @@ struct StatsSnapshot {
   uint64_t exec_stall_ns = 0;  ///< exec threads waiting for the CC watermark
   /// Durable-log accounting (zero when durability is off). Monotone, like
   /// the stall counters, so a measurement window is the snapshot delta.
-  uint64_t log_stall_ns = 0;  ///< pipeline time blocked on the log
-                              ///< (sequencer handoff + durable-ack waits)
+  uint64_t log_stall_ns = 0;  ///< exec time blocked on the durable-ack gate
   uint64_t log_bytes = 0;     ///< bytes appended to the log
   uint64_t log_records = 0;   ///< batch records appended
-  uint64_t log_fsyncs = 0;    ///< fsync calls issued by the log writer
+  uint64_t log_fsyncs = 0;    ///< fsync calls issued by the log thread
   /// Versions the GC recycled (Bohm only; zero for executor engines).
   uint64_t gc_freed = 0;
 

@@ -1,6 +1,6 @@
 // BatchLog: the segmented append-only file behind the durable sequencer
 // log. Storage only — framing from record.h, no threading, no policy;
-// the group-commit machinery lives in LogWriter, which is this class's
+// the group-commit policy lives in LogWriter, which is this class's
 // single caller on the write path.
 //
 // Segment files are named log-<first-seqno>.seg (seqno zero-padded so

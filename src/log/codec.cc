@@ -93,9 +93,13 @@ Status DecodeTxn(Slice* in, ProcedurePtr* out) {
 }
 
 void EncodeBatchPayload(std::string* out,
-                        const std::vector<const StoredProcedure*>& txns) {
-  AppendFixed32(out, static_cast<uint32_t>(txns.size()));
-  for (const StoredProcedure* p : txns) EncodeTxn(out, *p);
+                        const std::vector<ProcedurePtr>& txns) {
+  uint32_t count = 0;
+  for (const ProcedurePtr& p : txns) count += p->codec_id() != kNotLoggable;
+  AppendFixed32(out, count);
+  for (const ProcedurePtr& p : txns) {
+    if (p->codec_id() != kNotLoggable) EncodeTxn(out, *p);
+  }
 }
 
 Status DecodeBatchPayload(const uint8_t* data, size_t len,

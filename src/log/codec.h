@@ -48,11 +48,12 @@ void EncodeTxn(std::string* out, const StoredProcedure& proc);
 /// disk corruption.
 Status DecodeTxn(Slice* in, ProcedurePtr* out);
 
-/// Encodes a whole batch payload (txn count + each loggable txn).
-/// Transactions with codec_id() == kNotLoggable must not appear (the
-/// engine rejects them at Submit when durability is on).
+/// Appends a whole batch payload (txn count + each loggable txn) to
+/// `out`. Transactions with codec_id() == kNotLoggable are left out: the
+/// engine admits them under durability only when they write nothing, so
+/// replay without them reaches the same state.
 void EncodeBatchPayload(std::string* out,
-                        const std::vector<const StoredProcedure*>& txns);
+                        const std::vector<ProcedurePtr>& txns);
 
 /// Decodes a batch payload back into procedures.
 Status DecodeBatchPayload(const uint8_t* data, size_t len,

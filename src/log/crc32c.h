@@ -2,7 +2,7 @@
 // checksum guarding every record in the durable sequencer log. Chosen over
 // plain CRC32 for its better error-detection properties on storage-sized
 // payloads and because it is the de-facto log-framing checksum (RocksDB,
-// LevelDB, ext4). Software table implementation — the log writer runs on
+// LevelDB, ext4). Software table implementation — the log thread runs on
 // its own thread off the pipeline hot path, so hardware acceleration is
 // not worth a platform dependency here.
 #pragma once

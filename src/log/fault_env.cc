@@ -18,7 +18,7 @@ class FaultLogFile final : public LogWritableFile {
       : env_(env), base_(std::move(base)) {}
 
   Status Append(const void* data, size_t n) override {
-    // relaxed: all fault state is owned by the single writer thread (see
+    // relaxed: all fault state is owned by the single log thread (see
     // header); only crashed_ is release-published (relaxed: throughout).
     if (env_->crashed_.load(std::memory_order_relaxed)) {
       return Status::OK();  // lying success: the process never learns

@@ -18,9 +18,9 @@
 // in-process run completes normally; what the test then recovers from is
 // the file as the fault env actually left it.
 //
-// Single-threaded discipline: only the LogWriter thread touches the write
-// path, so the fault state needs no locking beyond the atomics used for
-// cross-thread test observation.
+// Single-threaded discipline: only the engine's log thread (through its
+// LogWriter) touches the write path, so the fault state needs no locking
+// beyond the atomics used for cross-thread test observation.
 #pragma once
 
 #include <atomic>
@@ -43,14 +43,14 @@ class FaultLogEnv final : public LogEnv {
   /// current write is truncated at the budget and all later writes are
   /// silently dropped: the torn-tail / mid-record crash.
   void CrashAfterBytes(uint64_t n) {
-    // relaxed: programmed before the run; consumed by the writer thread.
+    // relaxed: programmed before the run; consumed by the log thread.
     write_budget_.store(n, std::memory_order_relaxed);
   }
 
   /// The `n`-th Sync() from now (1-based) crashes: bytes appended since
   /// the previous sync are dropped, as is everything after.
   void CrashAtSync(uint64_t n) {
-    // relaxed: programmed before the run; consumed by the writer thread.
+    // relaxed: programmed before the run; consumed by the log thread.
     sync_budget_.store(n, std::memory_order_relaxed);
   }
 
@@ -58,7 +58,7 @@ class FaultLogEnv final : public LogEnv {
   /// after `n` more bytes. Unlike CrashAfterBytes the writer *sees* the
   /// error and can enter degraded mode.
   void FailWritesAfterBytes(uint64_t n) {
-    // relaxed: programmed before the run; consumed by the writer thread.
+    // relaxed: programmed before the run; consumed by the log thread.
     fail_budget_.store(n, std::memory_order_relaxed);
   }
 

@@ -2,8 +2,9 @@
 //
 // All raw I/O in the tree lives behind this interface and inside src/log/
 // (enforced by scripts/lint_concurrency.py rule `io-containment`): the
-// pipeline stages never issue a write or fsync themselves, they hand
-// sealed batches to the LogWriter thread, which talks to a LogEnv. The
+// pipeline stages never issue a write or fsync themselves; the engine's
+// log thread hands each sealed batch's record to its LogWriter, whose
+// BatchLog talks to a LogEnv. The
 // indirection exists for exactly one reason — fault injection
 // (src/log/fault_env.h): the crash-recovery proof suite swaps in an env
 // that drops, truncates, corrupts or fails writes at controlled points,
@@ -20,8 +21,8 @@
 
 namespace bohm {
 
-/// An open append-only file. Not thread-safe; owned and driven by a
-/// single writer thread.
+/// An open append-only file. Not thread-safe; owned and driven by the
+/// engine's log thread.
 class LogWritableFile {
  public:
   virtual ~LogWritableFile() = default;

@@ -1,28 +1,28 @@
-// LogWriter: the dedicated I/O thread between the sequencer and the
-// BatchLog.
+// LogWriter: the group-commit policy and failure latch between the
+// engine's log thread and the BatchLog.
 //
 // The Bohm hot path must never block on disk (the pipeline's whole point
-// is keeping every stage compute-bound), so the sequencer hands each
-// sealed batch's encoded payload into an SPSC ring and moves on; this
-// thread drains the ring, appends records, and fsyncs according to the
-// configured group-commit policy. The one cross-thread output is the
-// durable watermark: `durable_seqno()` is release-published after the
-// fsync that covers a record, and the execution stage acquire-reads it to
-// gate batch admission (docs/CONCURRENCY.md rule R6). That ordering is what turns "executed" into "durably logged, then
-// executed" — the invariant the crash tests check.
+// is keeping every stage compute-bound), so the sequencer never touches
+// the log: a dedicated log thread reads each sealed batch from its slot,
+// encodes it, and hands the record to this object, which appends it and
+// fsyncs according to the configured policy. The object is single-
+// threaded — only the log thread calls its mutators. The one cross-thread
+// output is the durable watermark: `durable_seqno()` is release-published
+// after the fsync that covers a record, and the execution stage acquire-
+// reads it to gate batch admission (docs/CONCURRENCY.md rule R6). That
+// ordering is what turns "executed" into "durably logged, then executed"
+// — the invariant the crash tests check.
 //
-// On an I/O error the writer trips `failed()` and switches to drain-and-
-// discard: the ring keeps emptying (so the sequencer never wedges), the
-// watermark freezes, and the engine degrades to rejecting new submits.
+// On an I/O error the writer trips `failed()`: the watermark freezes, the
+// log thread stops reading batches, execution stops waiting for it, and
+// the engine degrades to rejecting new submits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "common/macros.h"
-#include "common/queue.h"
 #include "common/status.h"
 #include "log/batch_log.h"
 
@@ -31,8 +31,9 @@ namespace bohm {
 /// When the log writer calls fsync.
 enum class FsyncPolicy {
   kNone,   // never (OS decides); "durable" means handed to the kernel
-  kGroup,  // after `group_size` records, or when the ring runs dry; a
-           // group of 1 syncs every batch record (strongest, slowest)
+  kGroup,  // after `group_size` records, or when no sealed batch is
+           // waiting; a group of 1 syncs every batch record (strongest,
+           // slowest)
 };
 
 struct LogWriterOptions {
@@ -42,22 +43,22 @@ struct LogWriterOptions {
 
 class LogWriter {
  public:
-  LogWriter(BatchLog* log, const LogWriterOptions& opts);
+  LogWriter(BatchLog* log, const LogWriterOptions& opts)
+      : log_(log), opts_(opts) {}
   BOHM_DISALLOW_COPY_AND_ASSIGN(LogWriter);
-  ~LogWriter();
 
-  void Start();
+  /// Appends the record of `seqno` and applies the fsync policy. Returns
+  /// false once the writer has failed (call only while !failed()).
+  bool Append(uint64_t seqno, const std::string& payload);
 
-  /// Drains everything already enqueued, issues a final sync (all
-  /// policies — a clean shutdown leaves a fully durable log), and joins.
-  void Stop();
+  /// Group commit's idle rule: syncs the records appended since the last
+  /// durability point, if any, so an idle pipeline never leaves a batch
+  /// un-durable. No-op under kNone and after a failure.
+  void SyncIfUnsynced();
 
-  /// Producer side; sequencer thread only. Blocks (spin-then-yield) while
-  /// the ring is full — that wait is the log back-pressure and is
-  /// returned in nanoseconds for stall attribution. After a writer
-  /// failure the payload is discarded immediately (the caller checks
-  /// failed() at its own pace).
-  uint64_t Append(uint64_t seqno, std::string payload);
+  /// Final sync under every policy (a clean shutdown leaves a fully
+  /// durable log), then closes the segment.
+  void Close();
 
   /// Highest seqno covered by the policy's durability point
   /// (release-published; pair loads with acquire).
@@ -84,28 +85,21 @@ class LogWriter {
   }
 
  private:
-  struct Pending {
-    uint64_t seqno = 0;
-    std::string payload;
-  };
-
-  void WriterLoop();
   void Fail(Status st);
-  /// Syncs and advances the durable watermark to `through_seqno`.
-  bool SyncThrough(uint64_t through_seqno);
+  /// Syncs and advances the durable watermark to the last appended seqno.
+  void Sync();
   void PublishCounters();
 
   BatchLog* log_;
   LogWriterOptions opts_;
-  SpscQueue<Pending> queue_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
+  uint64_t unsynced_ = 0;  // records appended since the last durability point
+  uint64_t last_appended_ = 0;
   std::atomic<bool> failed_{false};
   std::atomic<uint64_t> durable_seqno_{0};  // 0 = nothing durable yet
   std::atomic<uint64_t> pub_bytes_{0};
   std::atomic<uint64_t> pub_records_{0};
   std::atomic<uint64_t> pub_fsyncs_{0};
-  Status error_;  // written by the writer thread before failed_ release
+  Status error_;  // written by the log thread before failed_ release
 };
 
 }  // namespace bohm

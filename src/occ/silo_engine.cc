@@ -10,6 +10,15 @@
 
 namespace bohm {
 
+namespace {
+
+/// Back-off after an abort: initial pause in microseconds, doubled per
+/// consecutive abort up to the cap.
+constexpr uint64_t kBackoffMinUs = 2;
+constexpr uint64_t kBackoffMaxUs = 512;
+
+}  // namespace
+
 /// TxnOps for Silo: reads hand out stable thread-local copies; writes go
 /// to the thread-local buffer and reach the database only at commit.
 class SiloOps final : public TxnOps {
@@ -67,10 +76,6 @@ SiloEngine::SiloEngine(const Catalog& catalog, SiloConfig cfg)
     : catalog_(catalog),
       cfg_([&] {
         if (cfg.threads == 0) cfg.threads = 1;
-        if (cfg.backoff_min_us == 0) cfg.backoff_min_us = 1;
-        if (cfg.backoff_max_us < cfg.backoff_min_us) {
-          cfg.backoff_max_us = cfg.backoff_min_us;
-        }
         return cfg;
       }()),
       db_(catalog_),
@@ -221,9 +226,7 @@ bool SiloEngine::CommitAttempt(ThreadCtx& ctx) {
 
 void SiloEngine::Backoff(ThreadCtx& ctx) {
   uint32_t shift = std::min(ctx.consecutive_aborts, 16u);
-  uint64_t us = std::min<uint64_t>(
-      static_cast<uint64_t>(cfg_.backoff_min_us) << shift,
-      cfg_.backoff_max_us);
+  uint64_t us = std::min<uint64_t>(kBackoffMinUs << shift, kBackoffMaxUs);
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 

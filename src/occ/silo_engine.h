@@ -36,10 +36,6 @@ struct SiloConfig {
   /// Epoch advance period in microseconds (Silo uses 40 ms; we default
   /// lower so short benchmark runs span several epochs).
   uint32_t epoch_period_us = 10000;
-  /// Back-off after an abort: initial pause in microseconds, doubled per
-  /// consecutive abort up to the cap.
-  uint32_t backoff_min_us = 2;
-  uint32_t backoff_max_us = 512;
 };
 
 class SiloEngine final : public ExecutorEngine {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -189,10 +190,14 @@ TEST(CodecTest, UnknownIdAndMalformedArgsRejected) {
 }
 
 TEST(CodecTest, BatchPayloadRoundTrip) {
-  PutProcedure put(0, 1, 100);
-  IncrementProcedure inc(0, 2, 5);
+  // A non-loggable (read-only) procedure is left out of the payload.
+  uint64_t out = 0;
+  std::vector<ProcedurePtr> txns;
+  txns.push_back(std::make_unique<PutProcedure>(0, 1, 100));
+  txns.push_back(std::make_unique<GetProcedure>(0, 1, &out));
+  txns.push_back(std::make_unique<IncrementProcedure>(0, 2, 5));
   std::string payload;
-  EncodeBatchPayload(&payload, {&put, &inc});
+  EncodeBatchPayload(&payload, txns);
   std::vector<ProcedurePtr> decoded;
   ASSERT_TRUE(DecodeBatchPayload(
                   reinterpret_cast<const uint8_t*>(payload.data()),

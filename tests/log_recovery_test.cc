@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bohm/engine.h"
@@ -232,6 +235,110 @@ TEST_F(RecoveryTest, RecoveredEngineContinuesTheLog) {
   ASSERT_TRUE(engine->Recover().ok());
   EXPECT_EQ(engine->recovery_stats().txns, kTxns + 20);
   ExpectStateEquals(*engine, oracle, "second recovery");
+  engine->Stop();
+}
+
+TEST_F(RecoveryTest, AllReadOnlyBatchLogsAnEmptyRecord) {
+  // One txn per batch: the lone read-only Get seals a batch with nothing
+  // loggable. It still gets a record, or the second Put's seqno would
+  // follow a gap that recovery refuses.
+  BohmConfig cfg = Config(Dir("log"));
+  cfg.batch_size = 1;
+  {
+    auto engine = MakeEngine(cfg);
+    ASSERT_TRUE(engine->Start().ok());
+    uint64_t out = 0;
+    ASSERT_TRUE(engine->Submit(std::make_unique<PutProcedure>(0, 1, 11)).ok());
+    ASSERT_TRUE(
+        engine->Submit(std::make_unique<GetProcedure>(0, 1, &out)).ok());
+    ASSERT_TRUE(engine->Submit(std::make_unique<PutProcedure>(0, 2, 22)).ok());
+    engine->Stop();
+  }
+  auto engine = MakeEngine(cfg);
+  Status st = engine->Recover();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(engine->recovery_stats().batches, 3u);
+  uint64_t v = 0;
+  ASSERT_TRUE(engine->ReadLatest(0, 1, &v).ok());
+  EXPECT_EQ(v, 11u);
+  ASSERT_TRUE(engine->ReadLatest(0, 2, &v).ok());
+  EXPECT_EQ(v, 22u);
+  engine->Stop();
+}
+
+/// A blind put whose log encoding takes 5 ms, so the log thread falls
+/// behind CC: only the durable-ack gate then holds execution back.
+class SlowToLogPut final : public StoredProcedure {
+ public:
+  SlowToLogPut(Key key, uint64_t value) : put_(0, key, value) {
+    set_.AddWrite(0, key);
+  }
+  void Run(TxnOps& ops) override { put_.Run(ops); }
+  uint32_t codec_id() const override { return put_.codec_id(); }
+  void EncodeArgs(std::string* out) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    put_.EncodeArgs(out);
+  }
+
+ private:
+  PutProcedure put_;
+};
+
+TEST_F(RecoveryTest, ExecutionWaitsForTheDurableRecord) {
+  // Under kNone a record is durable once appended, so when exec starts
+  // batch b (one txn per batch) at least b + 1 records must be appended.
+  BohmConfig cfg = Config(Dir("log"));
+  cfg.batch_size = 1;
+  auto engine = MakeEngine(cfg);
+  std::atomic<int> early{0};
+  auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_start = [&](uint32_t, int64_t b) {
+    if (engine->Stats().log_records < static_cast<uint64_t>(b) + 1) ++early;
+  };
+  engine->set_test_hooks(hooks);
+  ASSERT_TRUE(engine->Start().ok());
+  for (Key k = 0; k < 4; ++k) {
+    ASSERT_TRUE(engine->Submit(std::make_unique<SlowToLogPut>(k, k)).ok());
+  }
+  engine->WaitForIdle();
+  engine->Stop();
+  EXPECT_EQ(early.load(), 0) << "a batch executed before its record";
+}
+
+TEST_F(RecoveryTest, ReplayedBatchesSkipTheGateAfterReplay) {
+  BohmConfig cfg = Config(Dir("log"));
+  cfg.batch_size = 1;
+  {
+    auto engine = MakeEngine(cfg);
+    ASSERT_TRUE(engine->Start().ok());
+    SubmitWorkload(engine.get(), 0, 2);
+    engine->Stop();
+  }
+  // Exec thread 1 owns no txn of a one-txn batch, so replay finishes
+  // without it. Held at batch 0 until Recover() returns, it reaches the
+  // replayed batches after replay is over; this engine never logs them,
+  // so waiting for their records would wedge it.
+  auto engine = MakeEngine(cfg);
+  std::atomic<bool> recovered{false};
+  auto hooks = std::make_shared<BohmTestHooks>();
+  hooks->exec_batch_start = [&](uint32_t exec_id, int64_t b) {
+    while (exec_id == 1 && b == 0 && !recovered.load()) {
+      std::this_thread::yield();
+    }
+  };
+  engine->set_test_hooks(hooks);
+  ASSERT_TRUE(engine->Recover().ok());
+  recovered.store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine->Watermark() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(engine->Watermark(), 1) << "exec waited for a replayed record";
+  // Unwedges a failing run: the next record's seqno covers the replayed
+  // batches' seqnos.
+  SubmitWorkload(engine.get(), 2, 3);
   engine->Stop();
 }
 
