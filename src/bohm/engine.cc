@@ -26,6 +26,9 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
         if (cfg.batch_size == 0) cfg.batch_size = 1;
         if (cfg.pipeline_depth < 1) cfg.pipeline_depth = 1;
         if (cfg.max_dependency_depth == 0) cfg.max_dependency_depth = 1;
+        if (cfg.durability.env == nullptr) {
+          cfg.durability.env = LogEnv::Default();
+        }
         return cfg;
       }()),
       // One physical partition of every table per CC thread (Section
@@ -62,15 +65,9 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     exec_log_stall_.push_back(std::make_unique<StallSlot>());
   }
   if (cfg_.durability.enabled) {
-    LogEnv* env = cfg_.durability.env != nullptr ? cfg_.durability.env
-                                                 : LogEnv::Default();
-    log_ = std::make_unique<BatchLog>(cfg_.durability.dir, env,
-                                      cfg_.durability.segment_bytes);
-    LogWriterOptions opts;
-    opts.policy = cfg_.durability.fsync_policy;
-    opts.group_size =
-        cfg_.durability.group_size == 0 ? 1 : cfg_.durability.group_size;
-    log_writer_ = std::make_unique<LogWriter>(log_.get(), opts);
+    log_ = std::make_unique<BatchLog>(
+        cfg_.durability.dir, cfg_.durability.env,
+        cfg_.durability.segment_bytes, cfg_.durability.sync_every);
   }
 }
 
@@ -103,21 +100,12 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
 }
 
 Status BohmEngine::Start() {
-  // The cc_interest mask is 64 bits, one per CC thread. A
-  // config that would shift past the mask width is rejected instead of
-  // silently computing undefined behavior.
-  if (cfg_.cc_threads > 64) {
-    return Status::InvalidArgument(
-        "cc_threads must be <= 64 (the cc_interest mask is 64 bits wide)");
-  }
-  if (cfg_.durability.enabled && !recovered_) {
+  if (log_ != nullptr) {
     // A pre-existing log means there is committed history on disk.
     // Starting fresh would restart seqnos and silently fork that history;
     // the caller must either Recover() or point at a clean directory.
-    LogEnv* env = cfg_.durability.env != nullptr ? cfg_.durability.env
-                                                 : LogEnv::Default();
     std::vector<std::string> names;
-    Status st = env->ListDir(cfg_.durability.dir, &names);
+    Status st = cfg_.durability.env->ListDir(cfg_.durability.dir, &names);
     if (st.ok()) {
       for (const std::string& name : names) {
         uint64_t first;
@@ -131,10 +119,26 @@ Status BohmEngine::Start() {
       return st;
     }
   }
+  BOHM_RETURN_NOT_OK(StartPipeline(0));
+  // Unpinned, and not counted for pinning: it waits on the disk.
+  if (log_ != nullptr) threads_.emplace_back([this] { LogLoop(0); });
+  return Status::OK();
+}
+
+Status BohmEngine::StartPipeline(int64_t log_first_batch) {
+  // The cc_interest mask is 64 bits, one per CC thread. A
+  // config that would shift past the mask width is rejected instead of
+  // silently computing undefined behavior.
+  if (cfg_.cc_threads > 64) {
+    return Status::InvalidArgument(
+        "cc_threads must be <= 64 (the cc_interest mask is 64 bits wide)");
+  }
   bool expected = false;
   if (!life_.started.compare_exchange_strong(expected, true)) {
     return Status::FailedPrecondition("already started");
   }
+  // relaxed: no pipeline thread exists yet; spawning them orders it.
+  life_.log_first_batch.store(log_first_batch, std::memory_order_relaxed);
   if (log_ != nullptr) {
     Status opened = log_->Open();
     if (!opened.ok()) {
@@ -144,8 +148,6 @@ Status BohmEngine::Start() {
       life_.started.store(false, std::memory_order_release);
       return opened;
     }
-    // Unpinned, and not counted for pinning: it waits on the disk.
-    threads_.emplace_back([this] { LogLoop(); });
   }
   const bool pin =
       cfg_.pin_threads &&
@@ -181,8 +183,8 @@ void BohmEngine::Stop() {
     return;
   }
   // The log thread exits after logging the last sealed batch, with a
-  // final sync under every policy: a clean shutdown leaves a fully
-  // durable log even with unflushed group-commit buffers.
+  // final sync under every sync_every: a clean shutdown leaves a fully
+  // durable log even with records appended since the last sync.
   for (auto& t : threads_) t.join();
   threads_.clear();
   life_.stopped.store(true, std::memory_order_release);
@@ -206,7 +208,8 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc,
     return Status::Rejected("engine not running");
   }
   if (log_degraded()) {
-    return Status::Rejected("durable log failed; engine is degraded");
+    return Status::Rejected("durable log failed; engine is degraded: " +
+                            log_->error().ToString());
   }
   if (proc == nullptr) return Status::InvalidArgument("null procedure");
   if (cfg_.durability.enabled && proc->codec_id() == kNotLoggable) {
@@ -294,10 +297,10 @@ StatsSnapshot BohmEngine::Stats() const {
   for (const auto& st : cc_stall_) s.cc_stall_ns += st->ns.Get();
   for (const auto& st : exec_stall_) s.exec_stall_ns += st->ns.Get();
   for (const auto& st : exec_log_stall_) s.log_stall_ns += st->ns.Get();
-  if (log_writer_ != nullptr) {
-    s.log_bytes = log_writer_->bytes_written();
-    s.log_records = log_writer_->records();
-    s.log_fsyncs = log_writer_->fsyncs();
+  if (log_ != nullptr) {
+    s.log_bytes = log_->bytes_written();
+    s.log_records = log_->records();
+    s.log_fsyncs = log_->fsyncs();
   }
   s.gc_freed = gc_freed_versions();
   return s;
@@ -310,37 +313,20 @@ uint64_t BohmEngine::gc_freed_versions() const {
 }
 
 Status BohmEngine::Recover() {
-  if (!cfg_.durability.enabled) {
+  if (log_ == nullptr) {
     return Status::FailedPrecondition("Recover without durability enabled");
   }
   if (life_.started.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("Recover after Start");
   }
-  LogEnv* env = cfg_.durability.env != nullptr ? cfg_.durability.env
-                                               : LogEnv::Default();
   std::vector<ReplayedBatch> batches;
-  LogScanStats scan;
-  BOHM_RETURN_NOT_OK(ReadBatchLog(cfg_.durability.dir, env, &batches, &scan));
-  recovery_stats_ = RecoveryStats{};
-  recovery_stats_.batches = scan.records;
-  recovery_stats_.txns = scan.txns;
-  recovery_stats_.segments = scan.segments;
-  recovery_stats_.tail_truncated = scan.tail_truncated;
-  recovery_stats_.truncated_bytes = scan.truncated_bytes;
-  recovery_stats_.tail_detail = scan.tail_detail;
-  recovery_stats_.last_seqno = batches.empty() ? 0 : batches.back().seqno;
+  BOHM_RETURN_NOT_OK(ReadBatchLog(cfg_.durability.dir, cfg_.durability.env,
+                                  &batches, &recovery_stats_));
 
-  // Replay mode: the pipeline runs normally but nothing is re-logged and
-  // execution is not gated on durability (the batches being replayed are
-  // durable by definition). The release back to false below is what
-  // publishes log_base to the pipeline threads (rule R6).
-  life_.replaying.store(true, std::memory_order_release);
-  recovered_ = true;  // lets Start() past its nonempty-directory check
-  Status started = Start();
-  if (!started.ok()) {
-    life_.replaying.store(false, std::memory_order_release);
-    return started;
-  }
+  // Replay runs the pipeline without the log thread: the batches being
+  // replayed are durable by definition, so they are neither logged again
+  // nor gated (log_first_batch stays past every batch until replay ends).
+  BOHM_RETURN_NOT_OK(StartPipeline(INT64_MAX));
   for (ReplayedBatch& batch : batches) {
     for (ProcedurePtr& proc : batch.txns) {
       BOHM_RETURN_NOT_OK(Submit(std::move(proc)));
@@ -352,13 +338,15 @@ Status BohmEngine::Recover() {
   // Deterministic replay note: recovery re-*sequences* rather than
   // re-using the old batch boundaries, which is legal precisely because
   // the replay above preserved the total order — only the (seqno, batch
-  // id) correspondence moved. Re-anchor it: the next sealed batch
-  // (last_sealed_batch + 1) is the log thread's first and must get seqno
-  // last_seqno + 1.
-  life_.log_first_batch = last_sealed_batch() + 1;
-  life_.log_base = recovery_stats_.last_seqno + 1 -
-                   static_cast<uint64_t>(life_.log_first_batch);
-  life_.replaying.store(false, std::memory_order_release);
+  // id) correspondence moved. Re-anchor it: the next sealed batch is the
+  // log thread's first and must get seqno last_seqno + 1. The release
+  // store publishes log_base to the exec threads (rule R6); the log
+  // thread is ordered after both by its creation.
+  const int64_t first = last_sealed_batch() + 1;
+  life_.log_base =
+      recovery_stats_.last_seqno + 1 - static_cast<uint64_t>(first);
+  life_.log_first_batch.store(first, std::memory_order_release);
+  threads_.emplace_back([this, first] { LogLoop(first); });
   return Status::OK();
 }
 

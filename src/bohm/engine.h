@@ -56,7 +56,7 @@
 #include "bohm/txn_state.h"
 #include "bohm/version.h"
 #include "log/batch_log.h"
-#include "log/log_writer.h"
+#include "log/log_reader.h"
 #include "storage/schema.h"
 
 namespace bohm {
@@ -66,29 +66,20 @@ namespace bohm {
 /// sequenced order, persisting each sealed batch (seqno + encoded
 /// transactions) is a complete redo log — no ARIES, no per-write logging.
 struct DurabilityConfig {
-  /// When on, execution of a batch waits until the batch is durable per
-  /// the fsync policy, so a commit acknowledgement implies the transaction
-  /// survives a crash ("no acked commit is ever lost").
+  /// When on, execution of a batch waits until the batch is durable, so a
+  /// commit acknowledgement implies the transaction survives a crash ("no
+  /// acked commit is ever lost").
   bool enabled = false;
   /// Directory for segment files (created if missing).
   std::string dir;
-  FsyncPolicy fsync_policy = FsyncPolicy::kGroup;
-  uint32_t group_size = 8;  // kGroup: records per fsync
+  /// Records per fsync; the log also syncs whenever no sealed batch is
+  /// waiting. 0: no fsync before Close() — a record is durable once
+  /// handed to the kernel.
+  uint32_t sync_every = 8;
   uint64_t segment_bytes = 64ull << 20;
   /// File-system indirection; nullptr means the real one. Tests inject
   /// FaultLogEnv here.
   LogEnv* env = nullptr;
-};
-
-/// What Recover() found and repaired (test/monitoring observable).
-struct RecoveryStats {
-  uint64_t batches = 0;        ///< durable batches replayed
-  uint64_t txns = 0;           ///< transactions replayed
-  uint64_t segments = 0;       ///< segment files scanned
-  bool tail_truncated = false; ///< a torn/corrupt tail was dropped
-  uint64_t truncated_bytes = 0;
-  std::string tail_detail;
-  uint64_t last_seqno = 0;     ///< highest durable seqno (0: empty log)
 };
 
 struct BohmConfig {
@@ -168,13 +159,15 @@ class BohmEngine {
   /// logging new batches) when this returns. Stats in recovery_stats().
   Status Recover();
 
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
+  /// What Recover()'s scan found and repaired; `records` batches were
+  /// replayed.
+  const LogScanStats& recovery_stats() const { return recovery_stats_; }
 
   /// True once the durable log has hit an I/O error: logging has
   /// stopped, already-acknowledged commits remain durable, and Submit
   /// rejects new work (the engine is degraded, not wrong).
   bool log_degraded() const {
-    return log_writer_ != nullptr && log_writer_->failed();
+    return log_ != nullptr && log_->failed();
   }
 
   /// Drains all submitted transactions and joins every engine thread.
@@ -295,9 +288,16 @@ class BohmEngine {
   void SequencerLoop();
   void SealBatch(Batch* batch, int64_t id);
 
+  /// Opens the log and spawns the sequencer, CC and exec threads, with
+  /// execution gating batches from `log_first_batch` on: the part of
+  /// Start() that Recover() shares.
+  Status StartPipeline(int64_t log_first_batch);
+
   // --- durable-log stage (log_stage.cc) ---
-  /// The log thread: appends every batch sealed after replay to the log.
-  void LogLoop();
+  /// The log thread: appends every batch from `first` on (0 after
+  /// Start(); after Recover(), the first batch sealed after replay, since
+  /// replayed batches are durable already and never logged again).
+  void LogLoop(int64_t first);
 
   /// Admission checks for Submit. On success `*cc_interest` is the mask
   /// of CC threads that own a record of the footprint.
@@ -374,15 +374,12 @@ class BohmEngine {
   std::vector<std::unique_ptr<StallSlot>> exec_stall_;
   std::shared_ptr<const BohmTestHooks> hooks_;
 
-  /// Durable-log state (null when durability is off), owned by the log
-  /// thread. Declaration order matters: the writer references the log, so
-  /// it is declared after it (destroyed first).
+  /// The durable log (null when durability is off), driven by the log
+  /// thread.
   std::unique_ptr<BatchLog> log_;
-  std::unique_ptr<LogWriter> log_writer_;
   /// Per-exec-thread durable-ack wait (rule R6 gate).
   std::vector<std::unique_ptr<StallSlot>> exec_log_stall_;
-  bool recovered_ = false;  // Recover() ran (gates Start's nonempty check)
-  RecoveryStats recovery_stats_;
+  LogScanStats recovery_stats_;
 
   std::vector<std::thread> threads_;
 
@@ -410,19 +407,15 @@ class BohmEngine {
     std::atomic<bool> started{false};
     std::atomic<bool> stopping{false};
     std::atomic<bool> stopped{false};
-    /// True while Recover() is pushing the old log back through the
-    /// pipeline: suppresses re-logging and the durable-ack gate. The
-    /// release store back to false publishes log_base and
-    /// log_first_batch (rule R6).
-    std::atomic<bool> replaying{false};
+    /// The first batch the log thread writes and execution gates on
+    /// durability: 0 after Start(), the first batch sealed after replay
+    /// after Recover(), INT64_MAX while Recover() replays (replayed
+    /// batches are durable already and never logged again). Its release
+    /// store publishes log_base (rule R6).
+    std::atomic<int64_t> log_first_batch{0};
     /// seqno of batch id b is log_base + b; seqno 0 is reserved. Written
-    /// by Recover() before replaying returns to false; read by the log
-    /// and exec threads only when replaying is false.
+    /// by Recover() before its release store of log_first_batch.
     uint64_t log_base = 1;
-    /// The first batch sealed after replay: the log thread's first
-    /// record, and the first batch execution gates on durability. Written
-    /// and read like log_base.
-    int64_t log_first_batch = 0;
   };
   static_assert(alignof(ClientLine) == kLinePairSize);
   static_assert(alignof(SequencerLine) == kLinePairSize);

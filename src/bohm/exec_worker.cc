@@ -138,12 +138,11 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
     // broken by a log failure: the engine then degrades to non-durable
     // execution of in-flight work while Submit rejects anything new,
     // rather than wedging shutdown on a watermark that will never move.
-    if (log_writer_ != nullptr &&
-        !life_.replaying.load(std::memory_order_acquire) &&
-        b >= life_.log_first_batch) {
+    if (log_ != nullptr &&
+        b >= life_.log_first_batch.load(std::memory_order_acquire)) {
       const uint64_t need = life_.log_base + static_cast<uint64_t>(b);
       AwaitCharged(*exec_log_stall_[exec_id], [&] {
-        return log_writer_->durable_seqno() >= need || log_writer_->failed();
+        return log_->durable_seqno() >= need || log_->failed();
       });
     }
 

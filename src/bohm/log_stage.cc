@@ -3,8 +3,8 @@
 // its slot, in seal order. One log thread, spawned only when durability
 // is on, is a further consumer of the batch ring: like a CC thread it
 // counts batch ids itself and waits on the sealed watermark. It encodes
-// each sealed batch into one reused buffer and hands the record to the
-// LogWriter, which applies the fsync policy and publishes the durable
+// each sealed batch into one reused buffer and appends the record to the
+// BatchLog, which applies the sync cadence and publishes the durable
 // watermark that execution admits batches by (docs/CONCURRENCY.md rule
 // R6).
 
@@ -23,46 +23,32 @@ namespace bohm {
 // this thread has published b as durable. After a write or sync error
 // the thread stops reading slots at once; execution then stops waiting
 // for it, and slots recycle.
-void BohmEngine::LogLoop() {
-  LogWriter& writer = *log_writer_;
-  // Replayed batches are durable already and are never logged again; nor
-  // are their slots read, since execution does not wait for this thread
-  // during replay and slots recycle under it. Recover() publishes the
-  // first batch sealed after replay with its release store of
-  // replaying = false.
+void BohmEngine::LogLoop(int64_t first) {
+  BatchLog& log = *log_;
   SpinWait wait;
-  while (life_.replaying.load(std::memory_order_acquire)) {
-    // A Recover() that failed mid-replay leaves replaying set: the log
-    // gets nothing new.
-    if (sealed_.sequencer_done.load(std::memory_order_acquire)) {
-      writer.Close();
-      return;
-    }
-    wait.Pause();
-  }
   std::string payload;
-  for (int64_t b = life_.log_first_batch;; ++b) {
+  for (int64_t b = first;; ++b) {
     // The done flag is release-stored after the last seal, so once it is
     // seen last_sealed_batch() is final.
     wait.Reset();
     while (last_sealed_batch() < b &&
            !sealed_.sequencer_done.load(std::memory_order_acquire)) {
-      // No sealed batch is waiting: group commit syncs what has
-      // accumulated, so an idle pipeline never leaves a batch un-durable.
-      writer.SyncIfUnsynced();
+      // No sealed batch is waiting: sync what has accumulated, so an idle
+      // pipeline never leaves a batch un-durable.
+      (void)log.SyncIfUnsynced();
       wait.Pause();
     }
-    if (last_sealed_batch() < b || writer.failed()) break;
+    if (last_sealed_batch() < b || log.failed()) break;
     // Every sealed batch gets a record, even one whose transactions are
     // all non-loggable: the durable-ack gate waits for seqno
     // log_base + b, and recovery refuses a seqno gap.
     payload.clear();
     EncodeBatchPayload(&payload, ring_.Slot(b)->procs);
-    if (!writer.Append(life_.log_base + static_cast<uint64_t>(b), payload)) {
+    if (!log.Append(life_.log_base + static_cast<uint64_t>(b), payload).ok()) {
       break;
     }
   }
-  writer.Close();
+  (void)log.Close();
 }
 
 }  // namespace bohm

@@ -203,19 +203,17 @@ std::vector<Point> AblDurability(const Scale& s) {
   struct Mode {
     const char* label;
     bool durable;
-    FsyncPolicy policy;
-    uint32_t group_size;
+    uint32_t sync_every;
   };
   return BohmSweep(
       s, Ycsb({s.Rows(100'000), 1000, 0.9}, Txn::k10Rmw), "mode",
-      std::vector<Mode>{{"nolog", false, FsyncPolicy::kNone, 0},
-                        {"fsync=none", true, FsyncPolicy::kNone, 0},
-                        {"fsync=group8", true, FsyncPolicy::kGroup, 8},
-                        {"fsync=batch", true, FsyncPolicy::kGroup, 1}},
+      std::vector<Mode>{{"nolog", false, 0},
+                        {"fsync=none", true, 0},
+                        {"fsync=group8", true, 8},
+                        {"fsync=batch", true, 1}},
       [](const Mode& m, BohmConfig& cfg) {
         cfg.durability.enabled = m.durable;
-        cfg.durability.fsync_policy = m.policy;
-        if (m.group_size != 0) cfg.durability.group_size = m.group_size;
+        cfg.durability.sync_every = m.sync_every;
         return m.label;
       });
 }

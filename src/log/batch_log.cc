@@ -47,14 +47,40 @@ Status BatchLog::Open() {
   // Persist the log directory's own entry: segments fsynced into a
   // directory that itself vanishes on power loss are just as lost.
   BOHM_RETURN_NOT_OK(env_->SyncDir(ParentDir(dir_)));
-  ++fsyncs_;
+  fsyncs_.Inc();
   return Status::OK();
 }
 
 Status BatchLog::Append(uint64_t seqno, const std::string& payload) {
+  Status st = Write(seqno, payload);
+  if (!st.ok()) return Fail(std::move(st));
+  last_appended_ = seqno;
+  if (sync_every_ == 0) {
+    // The durability point is the kernel hand-off itself.
+    durable_seqno_.store(seqno, std::memory_order_release);
+    return Status::OK();
+  }
+  return ++unsynced_ >= sync_every_ ? Sync() : Status::OK();
+}
+
+Status BatchLog::SyncIfUnsynced() {
+  return unsynced_ != 0 && !failed() ? Sync() : Status::OK();
+}
+
+Status BatchLog::Close() {
+  // Clean shutdown leaves a fully durable log under every cadence
+  // (including sync_every = 0 — one trailing fsync costs nothing at exit).
+  Status st = failed() ? error() : Sync();
+  if (file_ == nullptr) return st;
+  Status closed = file_->Close();
+  file_.reset();
+  return st.ok() && !closed.ok() ? Fail(std::move(closed)) : st;
+}
+
+Status BatchLog::Write(uint64_t seqno, const std::string& payload) {
   if (file_ != nullptr && segment_size_ >= segment_bytes_) {
     BOHM_RETURN_NOT_OK(file_->Sync());  // rotation is a durability point
-    ++fsyncs_;
+    fsyncs_.Inc();
     BOHM_RETURN_NOT_OK(file_->Close());
     file_.reset();
   }
@@ -65,29 +91,34 @@ Status BatchLog::Append(uint64_t seqno, const std::string& payload) {
     // fsync can advance the watermark over its records — otherwise power
     // loss can drop the whole file while its contents were "durable".
     BOHM_RETURN_NOT_OK(env_->SyncDir(dir_));
-    ++fsyncs_;
+    fsyncs_.Inc();
     segment_size_ = 0;
   }
   scratch_.clear();
   EncodeRecord(&scratch_, seqno, payload);
   BOHM_RETURN_NOT_OK(file_->Append(scratch_.data(), scratch_.size()));
   segment_size_ += scratch_.size();
-  bytes_written_ += scratch_.size();
-  ++records_;
+  bytes_written_.Inc(scratch_.size());
+  records_.Inc();
   return Status::OK();
 }
 
 Status BatchLog::Sync() {
-  if (file_ == nullptr) return Status::OK();
-  BOHM_RETURN_NOT_OK(file_->Sync());
-  ++fsyncs_;
+  if (file_ != nullptr) {
+    Status st = file_->Sync();
+    if (!st.ok()) return Fail(std::move(st));
+    fsyncs_.Inc();
+  }
+  unsynced_ = 0;
+  durable_seqno_.store(last_appended_, std::memory_order_release);
   return Status::OK();
 }
 
-Status BatchLog::Close() {
-  if (file_ == nullptr) return Status::OK();
-  Status st = file_->Close();
-  file_.reset();
+Status BatchLog::Fail(Status st) {
+  if (!failed()) {
+    error_ = st;
+    failed_.store(true, std::memory_order_release);
+  }
   return st;
 }
 

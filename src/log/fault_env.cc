@@ -1,5 +1,8 @@
 #include "log/fault_env.h"
 
+#include <chrono>
+#include <thread>
+
 namespace bohm {
 
 namespace {
@@ -66,6 +69,11 @@ class FaultLogFile final : public LogWritableFile {
     // store below is release so crashed() observers see it promptly.
     if (env_->crashed_.load(std::memory_order_relaxed)) {
       return Status::OK();
+    }
+    // relaxed: programmed before the run, like the budgets.
+    const uint64_t delay = env_->sync_delay_us_.load(std::memory_order_relaxed);
+    if (delay != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay));
     }
     env_->syncs_.fetch_add(1, std::memory_order_relaxed);
     uint64_t budget = env_->sync_budget_.load(std::memory_order_relaxed);

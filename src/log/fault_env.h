@@ -11,7 +11,9 @@
 //   - honest failures: write or sync starts returning an error (ENOSPC or
 //     EIO) so the writer's degraded-mode path can be exercised in-process;
 //   - bit flip at offset: one byte of one file is corrupted after the
-//     fact, which the CRC must catch on recovery.
+//     fact, which the CRC must catch on recovery;
+//   - slow disk: every data sync stalls first, which widens the window
+//     between a record's append and its durability.
 //
 // "Silently dropped" is the key design choice: a real crash does not
 // return an error to the writer — it simply never persists the tail. The
@@ -19,7 +21,7 @@
 // the file as the fault env actually left it.
 //
 // Single-threaded discipline: only the engine's log thread (through its
-// LogWriter) touches the write path, so the fault state needs no locking
+// BatchLog) touches the write path, so the fault state needs no locking
 // beyond the atomics used for cross-thread test observation.
 #pragma once
 
@@ -62,6 +64,13 @@ class FaultLogEnv final : public LogEnv {
     fail_budget_.store(n, std::memory_order_relaxed);
   }
 
+  /// Every data Sync() first stalls for `micros` (a slow disk), before it
+  /// is counted or persists anything.
+  void DelaySyncs(uint64_t micros) {
+    // relaxed: programmed before the run; consumed by the log thread.
+    sync_delay_us_.store(micros, std::memory_order_relaxed);
+  }
+
   /// XORs the byte at `offset` of `path` with `mask` (post-hoc surgery;
   /// applied immediately via the base env).
   Status FlipByte(const std::string& path, uint64_t offset, uint8_t mask);
@@ -74,7 +83,8 @@ class FaultLogEnv final : public LogEnv {
     return bytes_written_.load(std::memory_order_relaxed);
   }
   uint64_t syncs() const {
-    // relaxed: test observation after the run (the join orders it).
+    // relaxed: test observation after the run (the join orders it) or
+    // after acquiring the durable watermark the sync preceded.
     return syncs_.load(std::memory_order_relaxed);
   }
   uint64_t dir_syncs() const {
@@ -128,6 +138,7 @@ class FaultLogEnv final : public LogEnv {
   std::atomic<uint64_t> write_budget_{kNoLimit};
   std::atomic<uint64_t> sync_budget_{kNoLimit};
   std::atomic<uint64_t> fail_budget_{kNoLimit};
+  std::atomic<uint64_t> sync_delay_us_{0};
   std::atomic<bool> crashed_{false};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> syncs_{0};

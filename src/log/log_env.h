@@ -3,12 +3,12 @@
 // All raw I/O in the tree lives behind this interface and inside src/log/
 // (enforced by scripts/lint_concurrency.py rule `io-containment`): the
 // pipeline stages never issue a write or fsync themselves; the engine's
-// log thread hands each sealed batch's record to its LogWriter, whose
-// BatchLog talks to a LogEnv. The
-// indirection exists for exactly one reason — fault injection
-// (src/log/fault_env.h): the crash-recovery proof suite swaps in an env
-// that drops, truncates, corrupts or fails writes at controlled points,
-// which is how "kill -9 at byte N" becomes a deterministic unit test.
+// log thread hands each sealed batch's record to its BatchLog, which
+// talks to a LogEnv. The indirection exists for exactly one reason —
+// fault injection (src/log/fault_env.h): the crash-recovery proof suite
+// swaps in an env that drops, truncates, corrupts or fails writes at
+// controlled points, which is how "kill -9 at byte N" becomes a
+// deterministic unit test.
 #pragma once
 
 #include <cstdint>

@@ -124,6 +124,7 @@ Status ReadBatchLog(const std::string& dir, LogEnv* env,
       BOHM_RETURN_NOT_OK(DecodeBatchPayload(data + off + kRecordHeaderSize,
                                             hdr.payload_len, &batch.txns));
       ++stats->records;
+      stats->last_seqno = hdr.seqno;
       stats->txns += batch.txns.size();
       out->push_back(std::move(batch));
       off += kRecordHeaderSize + hdr.payload_len;

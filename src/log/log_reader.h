@@ -39,6 +39,7 @@ struct LogScanStats {
   bool tail_truncated = false;      ///< a damaged tail was repaired
   uint64_t truncated_bytes = 0;     ///< bytes dropped by the repair
   std::string tail_detail;          ///< human-readable repair description
+  uint64_t last_seqno = 0;          ///< highest durable seqno (0: empty log)
 };
 
 /// Scans `dir`, repairs the tail if damaged (truncating the segment file

@@ -149,7 +149,8 @@ TEST(BohmGcTest, FreesIntoTheRetiredVersionsTable) {
   for (TableId t = 0; t < 2; ++t) {
     TableSpec spec;
     spec.id = t;
-    spec.name = "t" + std::to_string(t);
+    // Not "t" + to_string(t): GCC 12 -O3 false -Wrestrict.
+    spec.name = std::string("t").append(std::to_string(t));
     spec.record_size = sizes[t];
     spec.capacity = 8;
     ASSERT_TRUE(catalog.AddTable(std::move(spec)).ok());

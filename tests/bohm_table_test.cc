@@ -15,7 +15,7 @@ namespace {
 TableSpec Spec(uint64_t cap) {
   TableSpec s;
   s.id = 0;
-  s.name = "t";
+  s.name = std::string("t");  // not = "t": GCC 12 -O3 false -Wrestrict
   s.record_size = 8;
   s.capacity = cap;
   return s;

@@ -150,12 +150,16 @@ TEST_F(TempDirTest, BatchLogRotatesSegmentsAndStaysReadable) {
   LogEnv* env = LogEnv::Default();
   // Tiny segment budget: every record after the first in a segment
   // triggers rotation, so three appends span at least two files.
-  BatchLog log(dir_.string(), env, /*segment_bytes=*/8);
+  BatchLog log(dir_.string(), env, /*segment_bytes=*/8, /*sync_every=*/8);
   ASSERT_TRUE(log.Open().ok());
   ASSERT_TRUE(log.Append(1, "one").ok());
   ASSERT_TRUE(log.Append(2, "two").ok());
   ASSERT_TRUE(log.Append(3, "three").ok());
-  ASSERT_TRUE(log.Sync().ok());
+  // Three records stay below the cadence: only the idle sync makes them
+  // durable.
+  EXPECT_EQ(log.durable_seqno(), 0u);
+  ASSERT_TRUE(log.SyncIfUnsynced().ok());
+  EXPECT_EQ(log.durable_seqno(), 3u);
   ASSERT_TRUE(log.Close().ok());
   EXPECT_EQ(log.records(), 3u);
   EXPECT_GE(log.fsyncs(), 1u);

@@ -107,18 +107,16 @@ class RecoveryTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
-  static BohmConfig Config(const std::string& dir,
-                           FsyncPolicy policy = FsyncPolicy::kNone,
-                           LogEnv* env = nullptr, uint32_t group_size = 8) {
+  static BohmConfig Config(const std::string& dir, uint32_t sync_every = 0,
+                           LogEnv* env = nullptr) {
     BohmConfig cfg;
     cfg.cc_threads = 2;
     cfg.exec_threads = 2;
     cfg.batch_size = 8;  // kTxns txns span several batches
     cfg.durability.enabled = true;
     cfg.durability.dir = dir;
-    cfg.durability.fsync_policy = policy;
+    cfg.durability.sync_every = sync_every;
     cfg.durability.env = env;
-    cfg.durability.group_size = group_size;
     return cfg;
   }
 
@@ -155,7 +153,7 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, EmptyDirRecoversToEmpty) {
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
-  EXPECT_EQ(engine->recovery_stats().batches, 0u);
+  EXPECT_EQ(engine->recovery_stats().records, 0u);
   EXPECT_EQ(engine->recovery_stats().last_seqno, 0u);
   // The recovered-empty engine is a fully working engine.
   SubmitWorkload(engine.get(), 0, 10);
@@ -257,7 +255,7 @@ TEST_F(RecoveryTest, AllReadOnlyBatchLogsAnEmptyRecord) {
   auto engine = MakeEngine(cfg);
   Status st = engine->Recover();
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(engine->recovery_stats().batches, 3u);
+  EXPECT_EQ(engine->recovery_stats().records, 3u);
   uint64_t v = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 1, &v).ok());
   EXPECT_EQ(v, 11u);
@@ -285,15 +283,22 @@ class SlowToLogPut final : public StoredProcedure {
 };
 
 TEST_F(RecoveryTest, ExecutionWaitsForTheDurableRecord) {
-  // Under kNone a record is durable once appended, so when exec starts
-  // batch b (one txn per batch) at least b + 1 records must be appended.
-  BohmConfig cfg = Config(Dir("log"));
+  // Under sync_every = 1 a record is durable once appended and synced,
+  // so when exec starts batch b (one txn per batch) at least b + 1
+  // records must be appended and b + 1 data fsyncs done. Slow syncs keep
+  // a watermark published before its fsync from going unseen.
+  FaultLogEnv fault;
+  fault.DelaySyncs(2000);
+  BohmConfig cfg = Config(Dir("log"), 1, &fault);
   cfg.batch_size = 1;
   auto engine = MakeEngine(cfg);
   std::atomic<int> early{0};
+  std::atomic<int> unsynced{0};
   auto hooks = std::make_shared<BohmTestHooks>();
   hooks->exec_batch_start = [&](uint32_t, int64_t b) {
-    if (engine->Stats().log_records < static_cast<uint64_t>(b) + 1) ++early;
+    const auto need = static_cast<uint64_t>(b) + 1;
+    if (engine->Stats().log_records < need) ++early;
+    if (fault.syncs() < need) ++unsynced;
   };
   engine->set_test_hooks(hooks);
   ASSERT_TRUE(engine->Start().ok());
@@ -303,6 +308,7 @@ TEST_F(RecoveryTest, ExecutionWaitsForTheDurableRecord) {
   engine->WaitForIdle();
   engine->Stop();
   EXPECT_EQ(early.load(), 0) << "a batch executed before its record";
+  EXPECT_EQ(unsynced.load(), 0) << "a batch executed before its fsync";
 }
 
 TEST_F(RecoveryTest, ReplayedBatchesSkipTheGateAfterReplay) {
@@ -347,7 +353,7 @@ TEST_F(RecoveryTest, ShutdownWithInflightWorkLosesNothing) {
   // submission through the sequencer, the log, and execution — a clean
   // shutdown never drops work it accepted.
   {
-    auto engine = MakeEngine(Config(Dir("log"), FsyncPolicy::kGroup));
+    auto engine = MakeEngine(Config(Dir("log"), 8));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
     engine->Stop();  // no WaitForIdle: the pipeline is still full
@@ -545,7 +551,7 @@ TEST_F(RecoveryTest, MisnamedSegmentIsRefused) {
 TEST_F(RecoveryTest, SegmentCreationSyncsTheDirectory) {
   FaultLogEnv fault;
   {
-    auto engine = MakeEngine(Config(Dir("log"), FsyncPolicy::kNone, &fault));
+    auto engine = MakeEngine(Config(Dir("log"), 0, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, 10);
     engine->WaitForIdle();
@@ -555,6 +561,26 @@ TEST_F(RecoveryTest, SegmentCreationSyncsTheDirectory) {
   // creation syncs the log directory itself — both before any record in
   // the segment could be reported durable.
   EXPECT_GE(fault.dir_syncs(), 2u);
+}
+
+TEST_F(RecoveryTest, SyncEverySetsTheDataFsyncCount) {
+  // One segment (no roll), so every data fsync is the cadence's or the
+  // final one at Stop().
+  for (uint32_t sync_every : {0u, 1u}) {
+    SCOPED_TRACE(sync_every);
+    FaultLogEnv fault;
+    const std::string dir = Dir("log" + std::to_string(sync_every));
+    auto engine = MakeEngine(Config(dir, sync_every, &fault));
+    ASSERT_TRUE(engine->Start().ok());
+    SubmitWorkload(engine.get(), 0, kTxns);
+    engine->WaitForIdle();
+    // Every record is durable once its batch executed.
+    const uint64_t records = engine->Stats().log_records;
+    ASSERT_GE(records, 2u);
+    EXPECT_EQ(fault.syncs(), sync_every == 0 ? 0 : records);
+    engine->Stop();
+    EXPECT_EQ(fault.syncs(), sync_every == 0 ? 1 : records + 1);
+  }
 }
 
 TEST_F(RecoveryTest, TailRepairSyncsTheTruncation) {
@@ -575,7 +601,7 @@ TEST_F(RecoveryTest, TailRepairSyncsTheTruncation) {
                   ->TruncateFile(spans.back().path, spans.back().offset + 1)
                   .ok());
   FaultLogEnv fault;
-  auto engine = MakeEngine(Config(Dir("log"), FsyncPolicy::kNone, &fault));
+  auto engine = MakeEngine(Config(Dir("log"), 0, &fault));
   ASSERT_TRUE(engine->Recover().ok());
   EXPECT_TRUE(engine->recovery_stats().tail_truncated);
   EXPECT_GE(fault.file_syncs(), 1u);
@@ -608,8 +634,7 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
   FaultLogEnv fault;
   fault.CrashAtSync(3);
   {
-    auto engine =
-        MakeEngine(Config(Dir("log"), FsyncPolicy::kGroup, &fault, 1));
+    auto engine = MakeEngine(Config(Dir("log"), 1, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
     engine->WaitForIdle();
@@ -621,14 +646,14 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
   LogScanStats scan;
   ASSERT_TRUE(
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
-  // A group of 1 syncs once per record: exactly syncs 1 and 2 persisted.
+  // sync_every = 1 syncs once per record: exactly syncs 1 and 2 persisted.
   ASSERT_EQ(batches.size(), 2u);
   auto oracle = FreshOracle();
   ApplyBatches(&oracle, batches);
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
-  EXPECT_EQ(engine->recovery_stats().batches, 2u);
+  EXPECT_EQ(engine->recovery_stats().records, 2u);
   ExpectStateEquals(*engine, oracle, "crash at sync");
   engine->Stop();
 }
@@ -640,8 +665,7 @@ TEST_F(RecoveryTest, TornWriteCrashRecoversDurablePrefix) {
   FaultLogEnv fault;
   fault.CrashAfterBytes(700);  // lands mid-stream for this workload
   {
-    auto engine =
-        MakeEngine(Config(Dir("log"), FsyncPolicy::kNone, &fault));
+    auto engine = MakeEngine(Config(Dir("log"), 0, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
     engine->WaitForIdle();
@@ -651,7 +675,7 @@ TEST_F(RecoveryTest, TornWriteCrashRecoversDurablePrefix) {
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
-  const RecoveryStats& rs = engine->recovery_stats();
+  const LogScanStats& rs = engine->recovery_stats();
   EXPECT_LT(rs.txns, kTxns);  // the tail genuinely died
 
   std::vector<ReplayedBatch> batches;
@@ -672,13 +696,15 @@ TEST_F(RecoveryTest, DiskFullDegradesGracefully) {
   fault.FailWritesAfterBytes(300);
   bool rejected = false;
   {
-    auto engine =
-        MakeEngine(Config(Dir("log"), FsyncPolicy::kGroup, &fault, 1));
+    auto engine = MakeEngine(Config(Dir("log"), 1, &fault));
     ASSERT_TRUE(engine->Start().ok());
     for (uint64_t i = 0; i < 20000 && !rejected; ++i) {
       Status st = engine->Submit(WorkloadTxn(i));
       if (st.IsRejected()) {
         rejected = true;
+        // The rejection names the I/O error that degraded the engine.
+        EXPECT_NE(st.message().find("injected: disk full"), std::string::npos)
+            << st.ToString();
         break;
       }
       ASSERT_TRUE(st.ok()) << st.ToString();

@@ -11,7 +11,8 @@ namespace {
 TableSpec Spec(TableId id, uint32_t size, uint64_t cap) {
   TableSpec s;
   s.id = id;
-  s.name = "t" + std::to_string(id);
+  // Not "t" + to_string(id): GCC 12 -O3 false -Wrestrict.
+  s.name = std::string("t").append(std::to_string(id));
   s.record_size = size;
   s.capacity = cap;
   return s;
