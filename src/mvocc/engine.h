@@ -65,9 +65,7 @@ class MVOccEngine final : public ExecutorEngine {
     return cfg_.mode == MVOccMode::kHekaton ? "Hekaton" : "SI";
   }
 
-  /// Non-transactional helper for tests/examples: reads the newest
-  /// committed value. Call only when quiescent.
-  Status ReadLatest(TableId table, Key key, void* out) const;
+  Status ReadLatest(TableId table, Key key, void* out) const override;
 
   /// Current value of the global timestamp counter (test hook; the paper's
   /// point is that this number grows by >= 2 per transaction).

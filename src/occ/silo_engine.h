@@ -52,8 +52,7 @@ class SiloEngine final : public ExecutorEngine {
   StatsSnapshot Stats() const override { return stats_.Fold(); }
   const char* name() const override { return "OCC"; }
 
-  /// Non-transactional read of the current value (quiescent helper).
-  Status ReadLatest(TableId table, Key key, void* out) const;
+  Status ReadLatest(TableId table, Key key, void* out) const override;
 
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 

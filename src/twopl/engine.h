@@ -38,8 +38,7 @@ class TwoPLEngine final : public ExecutorEngine {
   StatsSnapshot Stats() const override { return stats_.Fold(); }
   const char* name() const override { return "2PL"; }
 
-  /// Non-transactional read of the current value (quiescent helper).
-  Status ReadLatest(TableId table, Key key, void* out) const;
+  Status ReadLatest(TableId table, Key key, void* out) const override;
 
   LockTable& lock_table() { return locks_; }
 

@@ -33,6 +33,11 @@ class ExecutorEngine {
   /// are retried internally and surface only in Stats().
   virtual Status Execute(StoredProcedure& proc, uint32_t thread_id) = 0;
 
+  /// Copies the newest committed value of a record into `out` (its
+  /// table's record_size bytes). Not transactional: call only when no
+  /// transaction is running. Returns NotFound when the record is absent.
+  virtual Status ReadLatest(TableId table, Key key, void* out) const = 0;
+
   /// Number of worker slots the engine was configured with.
   virtual uint32_t worker_threads() const = 0;
 

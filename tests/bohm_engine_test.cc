@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -350,50 +349,38 @@ TEST_P(BohmSerialEquivalence, RandomRmwMatchesSerialReplay) {
 
   constexpr uint64_t kKeys = 16;
   constexpr int kTxns = 1500;
-  auto engine = MakeEngine(kKeys, cfg, /*initial=*/0);
-
-  // Golden replay state.
-  std::map<Key, uint64_t> golden;
-  for (Key k = 0; k < kKeys; ++k) golden[k] = 0;
+  const Catalog catalog = OneTable(kKeys);
+  BohmEngine engine(catalog, cfg);
+  perfbench::SerialOracle oracle(catalog);
+  auto load = testutil::LoadBoth(engine, oracle);
+  const uint64_t zero = 0;
+  for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(load(0, k, &zero).ok());
+  ASSERT_TRUE(engine.Start().ok());
 
   Rng rng(1234);
   for (int i = 0; i < kTxns; ++i) {
     int kind = static_cast<int>(rng.Uniform(3));
+    ProcedurePtr txn;
     if (kind == 0) {
       Key k = rng.Uniform(kKeys);
-      uint64_t delta = rng.Uniform(100);
-      golden[k] += delta;
-      ASSERT_TRUE(
-          engine->Submit(std::make_unique<IncrementProcedure>(0, k, delta))
-              .ok());
+      txn = std::make_unique<IncrementProcedure>(0, k, rng.Uniform(100));
     } else if (kind == 1) {
       Key src = rng.Uniform(kKeys);
       Key dst = rng.Uniform(kKeys);
       while (dst == src) dst = rng.Uniform(kKeys);
-      uint64_t amount = rng.Uniform(50);
-      golden[src] -= amount;
-      golden[dst] += amount;
-      ASSERT_TRUE(engine
-                      ->Submit(std::make_unique<testutil::TransferProcedure>(
-                          0, src, dst, amount))
-                      .ok());
+      txn = std::make_unique<testutil::TransferProcedure>(0, src, dst,
+                                                          rng.Uniform(50));
     } else {
       Key src = rng.Uniform(kKeys);
       Key dst = rng.Uniform(kKeys);
-      uint64_t factor = rng.Uniform(3) + 1;
-      golden[dst] = golden[src] * factor;
-      ASSERT_TRUE(
-          engine->Submit(testutil::MakeMulWrite(0, src, dst, factor)).ok());
+      txn = testutil::MakeMulWrite(0, src, dst, rng.Uniform(3) + 1);
     }
+    oracle.Execute(*txn);
+    ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine->WaitForIdle();
-  for (Key k = 0; k < kKeys; ++k) {
-    uint64_t v = 0;
-    ASSERT_TRUE(engine->ReadLatest(0, k, &v).ok());
-    EXPECT_EQ(v, golden[k]) << "key " << k;
-  }
-  EXPECT_EQ(engine->Stats().commits, static_cast<uint64_t>(kTxns));
-  engine->Stop();
+  engine.WaitForIdle();
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
+  engine.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(

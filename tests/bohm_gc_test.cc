@@ -143,7 +143,7 @@ TEST(BohmGcTest, FreesIntoTheRetiredVersionsTable) {
   // Two tables whose versions differ in size. A version recycled into the
   // other table's free list is either too small for its new record (the
   // write overruns its neighbours in the arena) or wastes memory; the
-  // exact per-word counts below catch the overrun.
+  // byte-for-byte comparison with the serial oracle catches the overrun.
   const std::vector<uint32_t> sizes = {8, 512};
   Catalog catalog;
   for (TableId t = 0; t < 2; ++t) {
@@ -162,38 +162,29 @@ TEST(BohmGcTest, FreesIntoTheRetiredVersionsTable) {
   cfg.cc_threads = 2;
   cfg.exec_threads = 2;
   BohmEngine engine(catalog, cfg);
+  perfbench::SerialOracle oracle(catalog);
+  auto load = testutil::LoadBoth(engine, oracle);
   constexpr Key kKeys = 8;
   const std::vector<uint8_t> zeros(512, 0);
   for (TableId t = 0; t < 2; ++t) {
     for (Key k = 0; k < kKeys; ++k) {
-      ASSERT_TRUE(engine.Load(t, k, zeros.data()).ok());
+      ASSERT_TRUE(load(t, k, zeros.data()).ok());
     }
   }
   ASSERT_TRUE(engine.Start().ok());
 
-  uint64_t expected[2][kKeys] = {};
   Rng rng(31);
   for (int i = 0; i < 3000; ++i) {
     std::vector<RecordId> recs;
     const uint64_t kind = rng.Uniform(3);  // table 0, table 1, or both
     if (kind != 1) recs.push_back({0, rng.Uniform(kKeys)});
     if (kind != 0) recs.push_back({1, rng.Uniform(kKeys)});
-    for (const RecordId& r : recs) ++expected[r.table][r.key];
-    ASSERT_TRUE(
-        engine.Submit(std::make_unique<WordsRmw>(std::move(recs), &sizes))
-            .ok());
+    auto txn = std::make_unique<WordsRmw>(std::move(recs), &sizes);
+    oracle.Execute(*txn);
+    ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
   engine.WaitForIdle();
-  for (TableId t = 0; t < 2; ++t) {
-    for (Key k = 0; k < kKeys; ++k) {
-      std::vector<uint64_t> words(sizes[t] / 8);
-      ASSERT_TRUE(engine.ReadLatest(t, k, words.data()).ok());
-      for (size_t w = 0; w < words.size(); ++w) {
-        ASSERT_EQ(words[w], expected[t][k])
-            << "table " << t << " key " << k << " word " << w;
-      }
-    }
-  }
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
   EXPECT_GT(engine.gc_freed_versions(), 1000u);
   engine.Stop();
 }

@@ -3,11 +3,10 @@
 // huge-page blocks, and the CC and execution stages prefetch each
 // admitted batch's footprint (src/bohm/cc_worker.cc, exec_worker.cc).
 // Prefetching must never change a result, so every pipeline shape the
-// small-table suites cover — CC threads, GC — is checked here against a
-// serial replay on a table past the gate.
+// small-table suites cover — CC threads, GC — is checked here against the
+// serial oracle on a table past the gate.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -19,6 +18,7 @@
 #include "common/zipf.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
+#include "test_util.h"
 
 namespace bohm {
 namespace {
@@ -91,17 +91,16 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
   cfg.batch_size = 32;
   cfg.pipeline_depth = 4;
   cfg.gc_enabled = gc;
-  BohmEngine engine(YcsbCatalog(ycsb), cfg);
+  const Catalog catalog = YcsbCatalog(ycsb);
+  BohmEngine engine(catalog, cfg);
   ASSERT_TRUE(engine.prefetching());
-  ASSERT_TRUE(YcsbLoad(ycsb, [&](TableId t, Key k, const void* p) {
-                return engine.Load(t, k, p);
-              }).ok());
+  perfbench::SerialOracle oracle(catalog);
+  ASSERT_TRUE(YcsbLoad(ycsb, testutil::LoadBoth(engine, oracle)).ok());
   ASSERT_TRUE(engine.Start().ok());
 
   // Half the transactions are pure RMWs; the other half RMW some keys and
-  // only read the rest, whose observed sum must equal the serial replay's.
-  std::vector<uint64_t> golden(ycsb.record_count, 0);
-  std::vector<uint64_t> expected_sums;
+  // only read the rest, whose observed sum must equal the oracle run's.
+  std::vector<uint64_t> oracle_sums;
   std::deque<uint64_t> sums;  // never moves a slot a transaction still writes
   Rng rng(cc_threads * 100 + (gc ? 1 : 0));
   ScrambledZipf zipf(ycsb.record_count, ycsb.theta);
@@ -113,37 +112,25 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
       for (Key seen : keys) dup = dup || seen == k;
       if (!dup) keys.push_back(k);
     }
+    ProcedurePtr txn;
     if (rng.Uniform(2) == 0) {
-      for (Key k : keys) ++golden[k];
-      ASSERT_TRUE(engine
-                      .Submit(std::make_unique<YcsbRmwProcedure>(
-                          keys, ycsb.record_size))
-                      .ok());
+      txn = std::make_unique<YcsbRmwProcedure>(keys, ycsb.record_size);
+      oracle.Execute(*txn);
     } else {
-      uint64_t sum = 0;
-      for (uint32_t j = kRmwPerMixed; j < kKeysPerTxn; ++j) sum += golden[keys[j]];
-      for (uint32_t j = 0; j < kRmwPerMixed; ++j) ++golden[keys[j]];
-      expected_sums.push_back(sum);
       sums.push_back(0);
-      ASSERT_TRUE(engine
-                      .Submit(std::make_unique<YcsbMixedProcedure>(
-                          keys, kRmwPerMixed, ycsb.record_size, &sums.back()))
-                      .ok());
+      txn = std::make_unique<YcsbMixedProcedure>(
+          keys, kRmwPerMixed, ycsb.record_size, &sums.back());
+      oracle.Execute(*txn);
+      oracle_sums.push_back(sums.back());
     }
+    ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
   engine.WaitForIdle();
 
-  std::vector<char> rec(ycsb.record_size);
-  for (Key k = 0; k < ycsb.record_count; ++k) {
-    ASSERT_TRUE(engine.ReadLatest(kYcsbTableId, k, rec.data()).ok());
-    uint64_t counter = 0;
-    std::memcpy(&counter, rec.data(), sizeof(counter));
-    ASSERT_EQ(counter, golden[k]) << "key " << k;
-  }
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
   for (size_t i = 0; i < sums.size(); ++i) {
-    ASSERT_EQ(sums[i], expected_sums[i]) << "mixed txn " << i;
+    ASSERT_EQ(sums[i], oracle_sums[i]) << "mixed txn " << i;
   }
-  EXPECT_EQ(engine.Stats().commits, static_cast<uint64_t>(kTxns));
   engine.Stop();
 }
 

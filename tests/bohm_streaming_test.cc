@@ -3,8 +3,8 @@
 //
 // Three properties, per the design:
 //  (a) serial equivalence — the streamed pipeline produces exactly the
-//      golden/serial-reference state across seeded YCSB and SmallBank
-//      mixes at pipeline depths 1, 2 and 8;
+//      serial oracle's state across seeded YCSB and SmallBank mixes at
+//      pipeline depths 1, 2 and 8;
 //  (b) the watermark is honoured — with a CC thread frozen mid-batch via
 //      a test hook, execution never enters a batch the CC watermark fold
 //      has not passed (the streaming analogue of the index test
@@ -21,8 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <map>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -30,7 +28,6 @@
 #include "bohm/engine.h"
 #include "common/rand.h"
 #include "common/zipf.h"
-#include "harness/engines.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
 #include "test_util.h"
@@ -77,15 +74,13 @@ class Gate {
 class StreamedYcsbEquivalence
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>> {};
 
-TEST_P(StreamedYcsbEquivalence, MatchesGoldenReplayAcrossDepths) {
+TEST_P(StreamedYcsbEquivalence, MatchesSerialOracleAcrossDepths) {
   const auto [depth, seed] = GetParam();
-  constexpr uint64_t kRecords = 48;
-  constexpr uint32_t kRecordSize = 16;
   constexpr int kTxns = 600;
 
   YcsbConfig ycsb;
-  ycsb.record_count = kRecords;
-  ycsb.record_size = kRecordSize;
+  ycsb.record_count = 48;
+  ycsb.record_size = 16;
   ycsb.theta = 0.9;  // contended: hot keys cross CC partitions constantly
 
   BohmConfig cfg;
@@ -93,18 +88,14 @@ TEST_P(StreamedYcsbEquivalence, MatchesGoldenReplayAcrossDepths) {
   cfg.exec_threads = 2;
   cfg.batch_size = 7;  // deliberately odd so batches straddle txn patterns
   cfg.pipeline_depth = depth;
-  BohmEngine engine(YcsbCatalog(ycsb), cfg);
-  ASSERT_TRUE(YcsbLoad(ycsb, [&](TableId t, Key k, const void* p) {
-                return engine.Load(t, k, p);
-              }).ok());
+  const Catalog catalog = YcsbCatalog(ycsb);
+  BohmEngine engine(catalog, cfg);
+  perfbench::SerialOracle oracle(catalog);
+  ASSERT_TRUE(YcsbLoad(ycsb, testutil::LoadBoth(engine, oracle)).ok());
   ASSERT_TRUE(engine.Start().ok());
 
-  // Golden replay: each 10RMW increments the counter prefix of its keys
-  // exactly once, so the final counter of key k is the number of times k
-  // appeared across all transactions.
-  std::vector<uint64_t> golden(kRecords, 0);
   Rng rng(seed);
-  ScrambledZipf zipf(kRecords, ycsb.theta);
+  ScrambledZipf zipf(ycsb.record_count, ycsb.theta);
   for (int i = 0; i < kTxns; ++i) {
     std::vector<Key> keys;
     while (keys.size() < 4) {
@@ -113,21 +104,12 @@ TEST_P(StreamedYcsbEquivalence, MatchesGoldenReplayAcrossDepths) {
       for (Key seen : keys) dup = dup || seen == k;
       if (!dup) keys.push_back(k);
     }
-    for (Key k : keys) ++golden[k];
-    ASSERT_TRUE(
-        engine.Submit(std::make_unique<YcsbRmwProcedure>(keys, kRecordSize))
-            .ok());
+    auto txn = std::make_unique<YcsbRmwProcedure>(keys, ycsb.record_size);
+    oracle.Execute(*txn);
+    ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
   engine.WaitForIdle();
-
-  std::vector<char> rec(kRecordSize);
-  for (Key k = 0; k < kRecords; ++k) {
-    ASSERT_TRUE(engine.ReadLatest(kYcsbTableId, k, rec.data()).ok());
-    uint64_t counter = 0;
-    std::memcpy(&counter, rec.data(), sizeof(counter));
-    EXPECT_EQ(counter, golden[k]) << "depth " << depth << " key " << k;
-  }
-  EXPECT_EQ(engine.Stats().commits, static_cast<uint64_t>(kTxns));
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
 
@@ -141,70 +123,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// (a) Serial equivalence across pipeline depths, SmallBank mix, checked
-// against a serial reference engine fed the identical seeded stream.
+// (a) Serial equivalence across pipeline depths, SmallBank mix.
 // ---------------------------------------------------------------------------
 
 class StreamedSmallBankEquivalence
     : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(StreamedSmallBankEquivalence, MatchesSerialReference) {
+TEST_P(StreamedSmallBankEquivalence, MatchesSerialOracle) {
   const uint32_t depth = GetParam();
-  constexpr uint64_t kSeed = 99;
-  constexpr int kTxns = 500;
   SmallBankConfig sb;
   sb.customers = 24;  // high contention
   sb.spin_us = 0;
 
-  // Serial reference: single-threaded 2PL executes the stream in
-  // submission order — exactly the barriered pipeline's semantics.
-  std::map<std::pair<TableId, Key>, uint64_t> reference;
-  {
-    auto ref = MakeExecutorEngine(EngineKind::k2PL, SmallBankCatalog(sb), 1);
-    ASSERT_TRUE(SmallBankLoad(sb, [&](TableId t, Key k, const void* p) {
-                  return ref->Load(t, k, p);
-                }).ok());
-    SmallBankGenerator gen(sb, kSeed);
-    for (int i = 0; i < kTxns; ++i) {
-      ProcedurePtr p = gen.Make();
-      Status s = ref->Execute(*p, 0);
-      ASSERT_TRUE(s.ok() || s.IsAborted());
-    }
-    for (TableId t : {kSbCustomerTable, kSbSavingsTable, kSbCheckingTable}) {
-      for (Key c = 0; c < sb.customers; ++c) {
-        uint64_t v = 0;
-        bool found = false;
-        GetProcedure get(t, c, &v, &found);
-        ASSERT_TRUE(ref->Execute(get, 0).ok());
-        ASSERT_TRUE(found);
-        reference[{t, c}] = v;
-      }
-    }
-  }
-
-  // Streamed pipeline, same seed, same stream.
   BohmConfig cfg;
   cfg.cc_threads = 2;
   cfg.exec_threads = 2;
   cfg.batch_size = 9;
   cfg.pipeline_depth = depth;
-  BohmEngine engine(SmallBankCatalog(sb), cfg);
-  ASSERT_TRUE(SmallBankLoad(sb, [&](TableId t, Key k, const void* p) {
-                return engine.Load(t, k, p);
-              }).ok());
+  const Catalog catalog = SmallBankCatalog(sb);
+  BohmEngine engine(catalog, cfg);
+  perfbench::SerialOracle oracle(catalog);
+  ASSERT_TRUE(SmallBankLoad(sb, testutil::LoadBoth(engine, oracle)).ok());
   ASSERT_TRUE(engine.Start().ok());
-  SmallBankGenerator gen(sb, kSeed);
-  for (int i = 0; i < kTxns; ++i) {
-    ASSERT_TRUE(engine.Submit(gen.Make()).ok());
+  SmallBankGenerator gen(sb, /*seed=*/99);
+  for (int i = 0; i < 500; ++i) {
+    ProcedurePtr p = gen.Make();
+    oracle.Execute(*p);
+    ASSERT_TRUE(engine.Submit(std::move(p)).ok());
   }
   engine.WaitForIdle();
-
-  for (const auto& [rec, want] : reference) {
-    uint64_t v = 0;
-    ASSERT_TRUE(engine.ReadLatest(rec.first, rec.second, &v).ok());
-    EXPECT_EQ(v, want) << "depth " << depth << " table " << rec.first
-                       << " customer " << rec.second;
-  }
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
 

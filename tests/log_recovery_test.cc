@@ -4,10 +4,11 @@
 // Recover() rebuilds exactly the state produced by serially executing the
 // durable committed prefix of the log — torn or corrupt tails are
 // truncated and never replayed, and mid-log damage is refused rather than
-// skipped. The serial oracle is deliberately trivial: decode the intact
-// log with ReadBatchLog and apply each transaction to a plain map. If the
-// engine's recovered multi-version state ever diverges from that map, the
-// pipeline's determinism (or the log's framing) is broken.
+// skipped. The reference is the serial oracle (perfbench/oracle.h): decode
+// the intact log with ReadBatchLog and run its transactions one at a time
+// in log order. If the engine's recovered multi-version state ever
+// diverges from the oracle's, the pipeline's determinism (or the log's
+// framing) is broken.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,57 +36,21 @@ using testutil::OneTable;
 constexpr uint64_t kKeys = 16;
 constexpr uint64_t kTxns = 60;
 
-// ----------------------------------------------------------------------
-// Serial oracle: a map plus a TxnOps that reads/writes it directly.
-// Single table of 8-byte records (all tests here use OneTable).
-
-class OracleOps final : public TxnOps {
- public:
-  explicit OracleOps(std::map<Key, uint64_t>* db) : db_(db) {}
-  const void* Read(TableId, Key key) override {
-    auto it = db_->find(key);
-    if (it == db_->end()) return nullptr;
-    scratch_ = it->second;
-    return &scratch_;
-  }
-  void* Write(TableId, Key key) override { return &(*db_)[key]; }
-  void Abort() override { aborted_ = true; }
-  bool aborted() const override { return aborted_; }
-
- private:
-  std::map<Key, uint64_t>* db_;
-  uint64_t scratch_ = 0;
-  bool aborted_ = false;
-};
-
-std::map<Key, uint64_t> FreshOracle() {
-  std::map<Key, uint64_t> db;
-  for (Key k = 0; k < kKeys; ++k) db[k] = 0;
-  return db;
-}
-
-/// Applies every batch with seqno < `limit_seqno` to the oracle.
-void ApplyBatches(std::map<Key, uint64_t>* db,
-                  const std::vector<ReplayedBatch>& batches,
-                  uint64_t limit_seqno = UINT64_MAX) {
+/// Expects the recovered `engine` to match the serial oracle run over the
+/// logged batches with seqno < `limit_seqno`, in log order.
+void ExpectMatchesLog(const BohmEngine& engine,
+                      const std::vector<ReplayedBatch>& batches,
+                      const char* what, uint64_t limit_seqno = UINT64_MAX) {
+  SCOPED_TRACE(what);
+  const Catalog catalog = OneTable(kKeys);
+  perfbench::SerialOracle oracle(catalog);
+  const uint64_t zero = 0;
+  for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(oracle.Load(0, k, &zero).ok());
   for (const ReplayedBatch& b : batches) {
     if (b.seqno >= limit_seqno) break;
-    for (const ProcedurePtr& txn : b.txns) {
-      OracleOps ops(db);
-      txn->Run(ops);
-    }
+    for (const ProcedurePtr& txn : b.txns) oracle.Execute(*txn);
   }
-}
-
-/// Asserts the engine's committed state equals the oracle on every key.
-void ExpectStateEquals(const BohmEngine& engine,
-                       const std::map<Key, uint64_t>& oracle,
-                       const char* what) {
-  for (Key k = 0; k < kKeys; ++k) {
-    uint64_t v = 0;
-    ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok()) << what << " key " << k;
-    EXPECT_EQ(v, oracle.at(k)) << what << " key " << k;
-  }
+  testutil::ExpectMatchesOracle(engine, oracle, catalog);
 }
 
 // ----------------------------------------------------------------------
@@ -176,14 +140,12 @@ TEST_F(RecoveryTest, CleanShutdownRecoversAll) {
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
   EXPECT_FALSE(scan.tail_truncated);
   EXPECT_EQ(scan.txns, kTxns);
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
   EXPECT_EQ(engine->recovery_stats().txns, kTxns);
   EXPECT_FALSE(engine->recovery_stats().tail_truncated);
-  ExpectStateEquals(*engine, oracle, "clean recovery");
+  ExpectMatchesLog(*engine, batches, "clean recovery");
   engine->Stop();
 }
 
@@ -226,13 +188,11 @@ TEST_F(RecoveryTest, RecoveredEngineContinuesTheLog) {
   ASSERT_TRUE(
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
   EXPECT_EQ(scan.txns, kTxns + 20);
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
   EXPECT_EQ(engine->recovery_stats().txns, kTxns + 20);
-  ExpectStateEquals(*engine, oracle, "second recovery");
+  ExpectMatchesLog(*engine, batches, "second recovery");
   engine->Stop();
 }
 
@@ -363,12 +323,10 @@ TEST_F(RecoveryTest, ShutdownWithInflightWorkLosesNothing) {
   ASSERT_TRUE(
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
   EXPECT_EQ(scan.txns, kTxns);  // every accepted txn reached the log
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
-  ExpectStateEquals(*engine, oracle, "inflight shutdown");
+  ExpectMatchesLog(*engine, batches, "inflight shutdown");
   engine->Stop();
 }
 
@@ -450,9 +408,6 @@ TEST_F(RecoveryTest, CrashMatrixRecoversDurablePrefix) {
               .ok());
     }
 
-    auto oracle = FreshOracle();
-    ApplyBatches(&oracle, durable, /*limit_seqno=*/victim.seqno);
-
     auto engine = MakeEngine(Config(dir));
     Status st = engine->Recover();
     ASSERT_TRUE(st.ok()) << dmg.name << ": " << st.ToString();
@@ -461,7 +416,8 @@ TEST_F(RecoveryTest, CrashMatrixRecoversDurablePrefix) {
       EXPECT_GT(engine->recovery_stats().truncated_bytes, 0u);
     }
     EXPECT_EQ(engine->recovery_stats().last_seqno, victim.seqno - 1);
-    ExpectStateEquals(*engine, oracle, dmg.name);
+    ExpectMatchesLog(*engine, durable, dmg.name,
+                     /*limit_seqno=*/victim.seqno);
 
     // The repaired log must itself recover cleanly (repair is idempotent
     // and leaves a valid log behind).
@@ -648,13 +604,11 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
   // sync_every = 1 syncs once per record: exactly syncs 1 and 2 persisted.
   ASSERT_EQ(batches.size(), 2u);
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
 
   auto engine = MakeEngine(Config(Dir("log")));
   ASSERT_TRUE(engine->Recover().ok());
   EXPECT_EQ(engine->recovery_stats().records, 2u);
-  ExpectStateEquals(*engine, oracle, "crash at sync");
+  ExpectMatchesLog(*engine, batches, "crash at sync");
   engine->Stop();
 }
 
@@ -682,9 +636,7 @@ TEST_F(RecoveryTest, TornWriteCrashRecoversDurablePrefix) {
   LogScanStats scan;
   ASSERT_TRUE(
       ReadBatchLog(Dir("log"), LogEnv::Default(), &batches, &scan).ok());
-  auto oracle = FreshOracle();
-  ApplyBatches(&oracle, batches);
-  ExpectStateEquals(*engine, oracle, "torn write");
+  ExpectMatchesLog(*engine, batches, "torn write");
   engine->Stop();
 }
 

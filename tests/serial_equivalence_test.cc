@@ -1,13 +1,14 @@
 // Cross-engine serial-equivalence property tests.
 //
-// Single-threaded, every engine is trivially serial — so every engine
-// must produce *exactly* the golden replay state for the same random
-// transaction stream. This pins down the data-path semantics (RMW reads,
-// blind writes, logic aborts, full-record copies) engine by engine, and
-// catches any divergence between the five TxnOps implementations.
+// With one client, every engine's serial order is the submission order,
+// so every engine must end in exactly the state of the serial oracle
+// (perfbench/oracle.h) run over the same procedure objects. This pins
+// down the data-path semantics (RMW reads, blind writes, logic aborts,
+// full-record copies) engine by engine; and since each engine matches the
+// oracle, all five agree with each other.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
 #include <tuple>
 
 #include "bohm/engine.h"
@@ -18,67 +19,57 @@
 namespace bohm {
 namespace {
 
+using testutil::ExpectMatchesOracle;
 using testutil::OneTable;
 
 constexpr uint64_t kKeys = 24;
 constexpr int kTxns = 1000;
 
-/// Applies one pseudo-random transaction to both an engine (via the
-/// returned procedure) and the golden state.
-ProcedurePtr NextTxn(Rng& rng, std::map<Key, uint64_t>& golden) {
+/// One pseudo-random transaction: an increment, a transfer, a
+/// read-then-blind-write, or a logic abort.
+ProcedurePtr NextTxn(Rng& rng) {
   int kind = static_cast<int>(rng.Uniform(4));
   Key a = rng.Uniform(kKeys);
   Key b = rng.Uniform(kKeys);
   while (b == a) b = rng.Uniform(kKeys);
   switch (kind) {
-    case 0: {
-      uint64_t delta = rng.Uniform(100);
-      golden[a] += delta;
-      return std::make_unique<IncrementProcedure>(0, a, delta);
-    }
-    case 1: {
-      uint64_t amount = rng.Uniform(50);
-      golden[a] -= amount;
-      golden[b] += amount;
-      return std::make_unique<testutil::TransferProcedure>(0, a, b, amount);
-    }
-    case 2: {
-      uint64_t factor = rng.Uniform(3) + 1;
-      golden[b] = golden[a] * factor;
-      return testutil::MakeMulWrite(0, a, b, factor);
-    }
+    case 0:
+      return std::make_unique<IncrementProcedure>(0, a, rng.Uniform(100));
+    case 1:
+      return std::make_unique<testutil::TransferProcedure>(0, a, b,
+                                                           rng.Uniform(50));
+    case 2:
+      return testutil::MakeMulWrite(0, a, b, rng.Uniform(3) + 1);
     default:
-      // Logic abort: no state change.
       return std::make_unique<testutil::AbortingIncrement>(0, a);
   }
+}
+
+/// Loads kKeys zero records into `engine` and `oracle`.
+template <typename Engine>
+void LoadZeros(Engine& engine, perfbench::SerialOracle& oracle) {
+  auto load = testutil::LoadBoth(engine, oracle);
+  const uint64_t zero = 0;
+  for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(load(0, k, &zero).ok());
 }
 
 class SerialEquivalence
     : public ::testing::TestWithParam<std::tuple<EngineKind, uint64_t>> {};
 
-TEST_P(SerialEquivalence, SingleThreadMatchesGoldenReplay) {
+TEST_P(SerialEquivalence, SingleThreadMatchesSerialOracle) {
   const auto [kind, seed] = GetParam();
-  auto engine = MakeExecutorEngine(kind, OneTable(kKeys), 1);
-  std::map<Key, uint64_t> golden;
-  uint64_t zero = 0;
-  for (Key k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-    golden[k] = 0;
-  }
+  const Catalog catalog = OneTable(kKeys);
+  auto engine = MakeExecutorEngine(kind, catalog, 1);
+  perfbench::SerialOracle oracle(catalog);
+  LoadZeros(*engine, oracle);
   Rng rng(seed);
   for (int i = 0; i < kTxns; ++i) {
-    ProcedurePtr p = NextTxn(rng, golden);
+    ProcedurePtr p = NextTxn(rng);
+    oracle.Execute(*p);
     Status s = engine->Execute(*p, 0);
     ASSERT_TRUE(s.ok() || s.IsAborted());
   }
-  for (Key k = 0; k < kKeys; ++k) {
-    uint64_t v = 0;
-    bool found = false;
-    GetProcedure get(0, k, &v, &found);
-    ASSERT_TRUE(engine->Execute(get, 0).ok());
-    ASSERT_TRUE(found);
-    EXPECT_EQ(v, golden[k]) << engine->name() << " key " << k;
-  }
+  ExpectMatchesOracle(*engine, oracle, catalog);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(EngineKind::k2PL, EngineKind::kOCC,
                                          EngineKind::kSI,
                                          EngineKind::kHekaton),
-                       ::testing::Values(1u, 2u, 3u, 4u, 5u)),
+                       ::testing::Values(1u, 2u, 3u, 4u, 5u, 777u)),
     [](const auto& param_info) {
       return std::string(EngineKindName(std::get<0>(param_info.param))) +
              "_seed" + std::to_string(std::get<1>(param_info.param));
@@ -97,103 +88,55 @@ INSTANTIATE_TEST_SUITE_P(
 // minimal streamed pipeline, depth 8 lets the sequencer and CC stage run
 // well ahead of execution. Equivalence across all three proves the
 // streamed epoch-watermark handoff never lets stage overlap leak into
-// the committed state.
+// the committed state. Each depth runs on a wide pipeline (3 CC, 3 exec,
+// odd batches) and on the default configuration.
 class BohmSeedEquivalence
-    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t, bool>> {};
 
-TEST_P(BohmSeedEquivalence, PipelineMatchesGoldenReplay) {
-  const auto [seed, depth] = GetParam();
+TEST_P(BohmSeedEquivalence, PipelineMatchesSerialOracle) {
+  const auto [seed, depth, wide] = GetParam();
   BohmConfig cfg;
-  cfg.cc_threads = 3;
-  cfg.exec_threads = 3;
-  cfg.batch_size = 13;
-  cfg.pipeline_depth = depth;
-  BohmEngine engine(OneTable(kKeys), cfg);
-  std::map<Key, uint64_t> golden;
-  uint64_t zero = 0;
-  for (Key k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-    golden[k] = 0;
+  if (wide) {
+    cfg.cc_threads = 3;
+    cfg.exec_threads = 3;
+    cfg.batch_size = 13;
   }
+  cfg.pipeline_depth = depth;
+  const Catalog catalog = OneTable(kKeys);
+  BohmEngine engine(catalog, cfg);
+  perfbench::SerialOracle oracle(catalog);
+  LoadZeros(engine, oracle);
   ASSERT_TRUE(engine.Start().ok());
   Rng rng(seed);
   for (int i = 0; i < kTxns; ++i) {
-    ASSERT_TRUE(engine.Submit(NextTxn(rng, golden)).ok());
+    ProcedurePtr p = NextTxn(rng);
+    oracle.Execute(*p);
+    ASSERT_TRUE(engine.Submit(std::move(p)).ok());
   }
   engine.WaitForIdle();
-  for (Key k = 0; k < kKeys; ++k) {
-    uint64_t v = 0;
-    ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
-    EXPECT_EQ(v, golden[k]) << "depth " << depth << " key " << k;
-  }
+  ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
+}
+
+std::string BohmParamName(
+    const ::testing::TestParamInfo<std::tuple<uint64_t, uint32_t, bool>>&
+        param_info) {
+  return "seed" + std::to_string(std::get<0>(param_info.param)) + "_depth" +
+         std::to_string(std::get<1>(param_info.param)) +
+         (std::get<2>(param_info.param) ? "_wide" : "_default");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndDepths, BohmSeedEquivalence,
     ::testing::Combine(::testing::Values(11u, 22u, 33u, 44u, 55u),
-                       ::testing::Values(1u, 2u, 8u)),
-    [](const auto& param_info) {
-      return "seed" + std::to_string(std::get<0>(param_info.param)) +
-             "_depth" + std::to_string(std::get<1>(param_info.param));
-    });
+                       ::testing::Values(1u, 2u, 8u), ::testing::Values(true)),
+    BohmParamName);
 
-// Cross-check: all five engines end in the same state for the same
-// stream (single-threaded).
-TEST(SerialEquivalenceTest, AllEnginesAgree) {
-  constexpr uint64_t kSeed = 777;
-  std::map<std::string, std::map<Key, uint64_t>> finals;
-
-  for (EngineKind kind : {EngineKind::k2PL, EngineKind::kOCC,
-                          EngineKind::kSI, EngineKind::kHekaton}) {
-    auto engine = MakeExecutorEngine(kind, OneTable(kKeys), 1);
-    uint64_t zero = 0;
-    for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
-    std::map<Key, uint64_t> sink;  // throwaway golden
-    Rng rng(kSeed);
-    for (int i = 0; i < 500; ++i) {
-      ProcedurePtr p = NextTxn(rng, sink);
-      Status s = engine->Execute(*p, 0);
-      ASSERT_TRUE(s.ok() || s.IsAborted());
-    }
-    for (Key k = 0; k < kKeys; ++k) {
-      uint64_t v = 0;
-      bool found = false;
-      GetProcedure get(0, k, &v, &found);
-      ASSERT_TRUE(engine->Execute(get, 0).ok());
-      finals[engine->name()][k] = v;
-    }
-  }
-
-  // Bohm, same stream, once per pipeline depth — the streamed handoff
-  // must agree with the executor engines at every depth.
-  for (uint32_t depth : {1u, 2u, 8u}) {
-    BohmConfig cfg;
-    cfg.pipeline_depth = depth;
-    BohmEngine engine(OneTable(kKeys), cfg);
-    uint64_t zero = 0;
-    for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(engine.Load(0, k, &zero).ok());
-    ASSERT_TRUE(engine.Start().ok());
-    std::map<Key, uint64_t> sink;
-    Rng rng(kSeed);
-    for (int i = 0; i < 500; ++i) {
-      ASSERT_TRUE(engine.Submit(NextTxn(rng, sink)).ok());
-    }
-    engine.WaitForIdle();
-    for (Key k = 0; k < kKeys; ++k) {
-      uint64_t v = 0;
-      ASSERT_TRUE(engine.ReadLatest(0, k, &v).ok());
-      finals["Bohm_depth" + std::to_string(depth)][k] = v;
-    }
-    engine.Stop();
-  }
-
-  ASSERT_EQ(finals.size(), 7u);
-  const auto& reference = finals.begin()->second;
-  for (const auto& [name, state] : finals) {
-    EXPECT_EQ(state, reference) << name << " diverged";
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    DefaultConfig, BohmSeedEquivalence,
+    ::testing::Combine(::testing::Values(777u), ::testing::Values(1u, 2u, 8u),
+                       ::testing::Values(false)),
+    BohmParamName);
 
 }  // namespace
 }  // namespace bohm

@@ -170,9 +170,7 @@ TEST_P(ExecutorStress, MixedSmallBankUnderHighContention) {
   EXPECT_EQ(s.commits + s.logic_aborts, 4u * kPerThread);
   for (Key c = 0; c < cfg.customers; ++c) {
     uint64_t raw = 0;
-    bool found = false;
-    GetProcedure get(kSbSavingsTable, c, &raw, &found);
-    ASSERT_TRUE(engine->Execute(get, 0).ok());
+    ASSERT_TRUE(engine->ReadLatest(kSbSavingsTable, c, &raw).ok());
     EXPECT_GE(static_cast<int64_t>(raw), 0) << engine->name();
   }
 }

@@ -1,15 +1,19 @@
 // Shared helpers for engine tests: small catalogs, arithmetic procedures
-// with declared footprints, a synchronous Bohm submit, and a timed
-// rendezvous used to force genuine transaction overlap in the anomaly
-// tests.
+// with declared footprints, a synchronous Bohm submit, the comparison of
+// an engine with the serial oracle, and a timed rendezvous used to force
+// genuine transaction overlap in the anomaly tests.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "bohm/engine.h"
+#include "perfbench/oracle.h"
 #include "storage/schema.h"
 #include "txn/procedure.h"
 
@@ -35,6 +39,46 @@ inline Status RunSync(BohmEngine& engine, ProcedurePtr proc) {
   BOHM_RETURN_NOT_OK(engine.Submit(std::move(proc)));
   engine.WaitForIdle();
   return Status::OK();
+}
+
+/// A workload loader's sink that loads each record into both `engine`
+/// and `oracle`.
+template <typename Engine>
+auto LoadBoth(Engine& engine, perfbench::SerialOracle& oracle) {
+  return [&engine, &oracle](TableId table, Key key, const void* payload) {
+    BOHM_RETURN_NOT_OK(engine.Load(table, key, payload));
+    return oracle.Load(table, key, payload);
+  };
+}
+
+/// Serial equivalence: the quiescent `engine` holds exactly the oracle's
+/// state on every record of every table in `catalog`, byte for byte (a
+/// record absent from one is absent from the other), and committed and
+/// logic-aborted as many transactions. The oracle ran the same procedures
+/// one at a time in the engine's serial order (submission order with one
+/// client, or the log's order on recovery).
+template <typename Engine>
+void ExpectMatchesOracle(const Engine& engine,
+                         const perfbench::SerialOracle& oracle,
+                         const Catalog& catalog) {
+  for (const TableSpec& spec : catalog.tables()) {
+    std::vector<char> record(spec.record_size);
+    for (Key k = 0; k < spec.capacity; ++k) {
+      const char* want = oracle.Get(spec.id, k);
+      const bool found = engine.ReadLatest(spec.id, k, record.data()).ok();
+      ASSERT_EQ(found, want != nullptr) << "table " << spec.id << " key " << k;
+      if (!found || std::memcmp(record.data(), want, spec.record_size) == 0) {
+        continue;
+      }
+      uint32_t byte = 0;
+      while (record[byte] == want[byte]) ++byte;
+      FAIL() << "table " << spec.id << " key " << k << " differs at byte "
+             << byte;
+    }
+  }
+  const StatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.commits, oracle.commits());
+  EXPECT_EQ(stats.logic_aborts, oracle.logic_aborts());
 }
 
 inline uint64_t ReadU64(TxnOps& ops, TableId t, Key k, bool* found = nullptr) {

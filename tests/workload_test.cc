@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <set>
 
+#include "perfbench/oracle.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
 
@@ -201,6 +203,72 @@ TEST(SmallBankTest, AmalgamateNeedsTwoCustomers) {
   // Must not loop forever or produce a two-customer txn.
   ProcedurePtr p = gen.Make(SmallBankGenerator::TxnType::kAmalgamate);
   ASSERT_NE(p, nullptr);
+}
+
+// ---------- SmallBank procedure semantics ----------
+//
+// The serial-equivalence suites compare each engine with the serial oracle,
+// which runs these same procedures, so a bug in a procedure itself would
+// pass them. These cases pin the procedures' effects by hand, on the oracle.
+
+class SmallBankProcedureTest : public ::testing::Test {
+ protected:
+  static SmallBankConfig TwoCustomers() {
+    SmallBankConfig cfg;
+    cfg.customers = 2;  // savings 1000, checking 1000 each
+    return cfg;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(SmallBankLoad(cfg_, [this](TableId t, Key k, const void* p) {
+                  return oracle_.Load(t, k, p);
+                }).ok());
+  }
+
+  int64_t Balance(TableId table, Key customer) const {
+    int64_t v = 0;
+    std::memcpy(&v, oracle_.Get(table, customer), sizeof(v));
+    return v;
+  }
+
+  const SmallBankConfig cfg_ = TwoCustomers();
+  perfbench::SerialOracle oracle_{SmallBankCatalog(cfg_)};
+};
+
+TEST_F(SmallBankProcedureTest, WriteCheckChargesOneUnitOnOverdraft) {
+  // Exactly covered (1000 + 1000 = 2000): no penalty.
+  WriteCheckProcedure covered(0, 2000, 0);
+  oracle_.Execute(covered);
+  EXPECT_EQ(Balance(kSbCheckingTable, 0), -1000);
+  // 1000 + -1000 = 0 < 5: the debit is 5 plus the 1-unit penalty.
+  WriteCheckProcedure overdrawn(0, 5, 0);
+  oracle_.Execute(overdrawn);
+  EXPECT_EQ(Balance(kSbCheckingTable, 0), -1006);
+  EXPECT_EQ(Balance(kSbSavingsTable, 0), 1000);  // read, never written
+  EXPECT_EQ(oracle_.commits(), 2u);
+}
+
+TEST_F(SmallBankProcedureTest, TransactSavingAbortsBelowZero) {
+  TransactSavingProcedure to_zero(0, -1000, 0);
+  oracle_.Execute(to_zero);
+  EXPECT_EQ(Balance(kSbSavingsTable, 0), 0);
+  TransactSavingProcedure below_zero(0, -1, 0);
+  oracle_.Execute(below_zero);
+  EXPECT_EQ(Balance(kSbSavingsTable, 0), 0);
+  EXPECT_EQ(oracle_.commits(), 1u);
+  EXPECT_EQ(oracle_.logic_aborts(), 1u);
+}
+
+TEST_F(SmallBankProcedureTest, AmalgamateZeroesTheSourceAndMovesAll) {
+  DepositCheckingProcedure deposit(0, 234, 0);
+  oracle_.Execute(deposit);
+  EXPECT_EQ(Balance(kSbCheckingTable, 0), 1234);
+  AmalgamateProcedure merge(0, 1, 0);
+  oracle_.Execute(merge);
+  EXPECT_EQ(Balance(kSbSavingsTable, 0), 0);
+  EXPECT_EQ(Balance(kSbCheckingTable, 0), 0);
+  EXPECT_EQ(Balance(kSbCheckingTable, 1), 1000 + 1000 + 1234);
+  EXPECT_EQ(Balance(kSbSavingsTable, 1), 1000);
 }
 
 }  // namespace
