@@ -48,17 +48,7 @@ void BohmEngine::CcLoop(uint32_t cc_id) {
       cc_state_[cc_id]->retired.PushBatch(b);
     }
 
-    if (prefetch_) {
-      CcBatchPrefetched(cc_id, *batch);
-    } else {
-      // Skip transactions Submit's pre-processing found no work in for
-      // this thread (Start() caps cc_threads at 64, the mask width).
-      const uint64_t my_bit = 1ull << cc_id;
-      for (BohmTxn* txn : batch->txns) {
-        if ((txn->cc_interest & my_bit) == 0) continue;
-        CcProcessTxn<false>(cc_id, txn);
-      }
-    }
+    CcBatchPrefetched(cc_id, *batch);
 
     if (hooks != nullptr && hooks->cc_batch_end) {
       hooks->cc_batch_end(cc_id, b);
@@ -87,23 +77,24 @@ void ForOwnedElements(const BohmDatabase& db, const BohmTxn& txn,
   for (const RecordId& rec : set.writes()) visit(rec);
 }
 
-/// Allocations ahead of use at which CcProcessTxn<true> prefetches the
+/// Allocations ahead of use at which CcProcessTxn prefetches the
 /// free-list version it will recycle (about one 10-write transaction).
 constexpr size_t kRecycleAhead = 8;
 
 }  // namespace
 
-// Memory-level parallelism for large tables (docs/ARCHITECTURE.md). Each
-// index touch of the plain loop is a dependent DRAM miss: bucket slot ->
-// entry, and a free-list version to re-initialize per write. The batch is
-// fixed and its footprint declared, so the misses of later transactions
-// can be started early, AMAC-style (Kocberber et al., PVLDB 2015), in two
+// Memory-level parallelism (docs/ARCHITECTURE.md). Each index touch is a
+// dependent miss once a table outgrows the caches: bucket slot -> entry,
+// and a free-list version to re-initialize per write. The batch is fixed
+// and its footprint declared, so the misses of later transactions can be
+// started early, AMAC-style (Kocberber et al., PVLDB 2015), in two
 // stages, each one transaction behind the previous: while transaction i
 // is processed, i+1 gets its entries prefetched (its bucket slots arrived
 // during stage 1) and i+2 its bucket slots. The superseded head version
 // itself is never read (CC only links and retires its pointer), so it is
 // not prefetched. Every stage touches only this thread's partition (rule
-// R8).
+// R8). Transactions Submit's pre-processing found no work in for this
+// thread are skipped (Start() caps cc_threads at 64, the mask width).
 void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch) {
   CcState& st = *cc_state_[cc_id];
   const uint64_t my_bit = 1ull << cc_id;
@@ -125,11 +116,10 @@ void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch) {
                          t->PrefetchEntry(cc_id, key);
                        });
     }
-    if (i >= 2) CcProcessTxn<true>(cc_id, mine[i - 2]);
+    if (i >= 2) CcProcessTxn(cc_id, mine[i - 2]);
   }
 }
 
-template <bool kPrefetch>
 void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
   CcState& st = *cc_state_[cc_id];
   // The footprint is read in place: it is immutable after Submit, and the
@@ -170,9 +160,7 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
     BohmTable* table = db_.table(rec.table);
     if (table->PartitionOf(rec.key) != cc_id) continue;
 
-    if constexpr (kPrefetch) {
-      st.alloc.PrefetchRecycled(rec.table, kRecycleAhead);
-    }
+    st.alloc.PrefetchRecycled(rec.table, kRecycleAhead);
     Version* v = st.alloc.Alloc(rec.table, record_sizes_[rec.table]);
     v->producer = txn;  // prev stays nullptr from Alloc until linked below
 

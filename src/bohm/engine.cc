@@ -49,7 +49,6 @@ BohmEngine::BohmEngine(const Catalog& catalog, BohmConfig cfg)
     record_sizes_[t.id] = t.record_size;
     if (IsLargeTable(t)) large_footprint += VersionFootprintBytes(t);
   }
-  prefetch_ = large_footprint > 0;
   const uint64_t share = large_footprint / cfg_.cc_threads;
   const bool huge_versions = share >= kHugePageBytes;
   const size_t version_block =
@@ -267,7 +266,6 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc,
 Status BohmEngine::Submit(ProcedurePtr proc) {
   uint64_t cc_interest = 0;
   BOHM_RETURN_NOT_OK(CheckSubmit(proc.get(), &cc_interest));
-  client_.submitted.fetch_add(1, std::memory_order_acq_rel);
   const ReadWriteSet& set = proc->rwset();
   const auto records =
       static_cast<uint32_t>(set.reads().size() + set.writes().size());
@@ -277,11 +275,11 @@ Status BohmEngine::Submit(ProcedurePtr proc) {
   return Status::OK();
 }
 
-uint64_t BohmEngine::CompletedCount() const { return stats_.FoldCompleted(); }
+uint64_t BohmEngine::completed() const { return stats_.FoldCompleted(); }
 
 void BohmEngine::WaitForIdle() {
   SpinWait wait;
-  while (CompletedCount() < submitted()) {
+  while (completed() < submitted()) {
     wait.Pause();
   }
 }

@@ -219,15 +219,14 @@ class BohmEngine {
   int64_t last_sealed_batch() const {
     return sealed_.last_sealed_batch.load(std::memory_order_acquire);
   }
-  uint64_t submitted() const {
-    return client_.submitted.load(std::memory_order_acquire);
-  }
+  /// Transactions accepted by Submit so far: the input queue's claimed
+  /// cells.
+  uint64_t submitted() const { return input_.claimed(); }
+  /// Transactions acknowledged so far (committed or logically aborted).
+  uint64_t completed() const;
   uint64_t gc_freed_versions() const;
   const BohmConfig& config() const { return cfg_; }
 
-  /// Some table of the catalog is large (IsLargeTable): the CC and exec
-  /// stages prefetch each admitted batch's footprint (test observable).
-  bool prefetching() const { return prefetch_; }
   /// The version arena of CC thread `cc_id` (test observable).
   const Arena& version_arena(uint32_t cc_id) const {
     return cc_state_[cc_id]->alloc.arena();
@@ -246,7 +245,7 @@ class BohmEngine {
         : alloc(version_block_bytes, huge_pages) {}
     VersionAllocator alloc;
     /// The transactions of the current batch this thread has work in
-    /// (scratch for the prefetching lookahead).
+    /// (scratch for the lookahead of CcBatchPrefetched).
     std::vector<BohmTxn*> mine;
     /// Versions superseded in this thread's partition, by batch.
     RetireQueue retired;
@@ -307,19 +306,17 @@ class BohmEngine {
   // --- concurrency-control stage (cc_worker.cc) ---
   void CcLoop(uint32_t cc_id);
   /// CC over this thread's transactions of `batch`, with a staged
-  /// prefetch lookahead over their index footprint (engines with a large
-  /// table, IsLargeTable).
+  /// prefetch lookahead over their index footprint: the stage's one loop,
+  /// for every catalog.
   void CcBatchPrefetched(uint32_t cc_id, const Batch& batch);
-  template <bool kPrefetch>
   void CcProcessTxn(uint32_t cc_id, BohmTxn* txn);
 
   // --- execution stage (exec_worker.cc) ---
   void ExecLoop(uint32_t exec_id);
   /// Runs this thread's stripe of `batch` until every transaction in it is
-  /// complete, then acknowledges the stripe (AckStripe); kPrefetch
-  /// prefetches each next stripe transaction's annotated versions while
-  /// the current one runs.
-  template <bool kPrefetch>
+  /// complete, then acknowledges the stripe (AckStripe). While one stripe
+  /// transaction runs, the next one's annotated versions and placeholders
+  /// are prefetched (PrefetchFootprint), for every catalog.
   void ExecStripe(uint32_t exec_id, const Batch& batch);
   /// The commit-ack point: with one clock reading, records every committed
   /// stripe transaction's submit→ack latency and adds the stripe's commits
@@ -334,8 +331,6 @@ class BohmEngine {
 
   // --- garbage collection (gc.cc) ---
   void DrainRetired(uint32_t cc_id);
-
-  uint64_t CompletedCount() const;
 
   /// A submitted transaction, pre-processed on the client thread so the
   /// sequencer need not read the procedure at all.
@@ -355,10 +350,6 @@ class BohmEngine {
   BohmConfig cfg_;
   BohmDatabase db_;
   std::vector<uint32_t> record_sizes_;  // by table id
-  /// Some table is large (IsLargeTable): CC and exec prefetch each
-  /// admitted batch's footprint, and version arenas use huge pages. Fixed
-  /// at construction from the catalog.
-  bool prefetch_ = false;
   BatchRing ring_;
   MpscQueue<InputItem> input_;  // consumer: the sequencer thread
   std::vector<std::unique_ptr<CcState>> cc_state_;
@@ -386,12 +377,9 @@ class BohmEngine {
   // One writer per hot cache line (docs/CONCURRENCY.md, rule R9): the
   // mutable words written per transaction or per batch are grouped by
   // the thread that writes them, each group on a line pair of its own, so
-  // a client's Submit never pulls the sequencer's line away from it.
+  // a client's Submit never pulls the sequencer's line away from it (the
+  // clients' one per-Submit write is the input queue's claim).
 
-  /// Written by client threads, once per accepted Submit.
-  struct alignas(kLinePairSize) ClientLine {
-    std::atomic<uint64_t> submitted{0};
-  };
   /// Sequencer-private: plain fields only the sequencer thread touches.
   struct alignas(kLinePairSize) SequencerLine {
     int64_t next_batch_id = 0;
@@ -417,12 +405,10 @@ class BohmEngine {
     /// by Recover() before its release store of log_first_batch.
     uint64_t log_base = 1;
   };
-  static_assert(alignof(ClientLine) == kLinePairSize);
   static_assert(alignof(SequencerLine) == kLinePairSize);
   static_assert(alignof(SealLine) == kLinePairSize);
   static_assert(alignof(LifecycleLine) == kLinePairSize);
 
-  ClientLine client_;
   SequencerLine seq_;
   SealLine sealed_;
   LifecycleLine life_;

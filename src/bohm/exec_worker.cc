@@ -151,11 +151,7 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
       hooks->exec_batch_start(exec_id, b);
     }
 
-    if (prefetch_) {
-      ExecStripe<true>(exec_id, *batch);
-    } else {
-      ExecStripe<false>(exec_id, *batch);
-    }
+    ExecStripe(exec_id, *batch);
     if (hooks != nullptr && hooks->exec_batch_end) {
       hooks->exec_batch_end(exec_id, b);
     }
@@ -168,13 +164,12 @@ void BohmEngine::ExecLoop(uint32_t exec_id) {
 // execute theirs, through dependency recursion), but this thread cannot
 // advance to the next batch until all of its stripe is Complete.
 //
-// kPrefetch (large tables): CC has annotated every read of the admitted
-// batch with the exact version to observe and given every write its
-// placeholder, so the next stripe transaction's whole footprint is known
-// while the current one runs. Prefetching it overlaps its DRAM misses
-// with the current transaction's work instead of taking them one by one
-// inside Run(). Only this admitted batch's annotations are read (rule R8).
-template <bool kPrefetch>
+// CC has annotated every read of the admitted batch with the exact
+// version to observe and given every write its placeholder, so the next
+// stripe transaction's whole footprint is known while the current one
+// runs. Prefetching it overlaps its misses with the current transaction's
+// work instead of taking them one by one inside Run(). Only this admitted
+// batch's annotations are read (rule R8).
 void BohmEngine::ExecStripe(uint32_t exec_id, const Batch& batch) {
   const size_t n = batch.txns.size();
   const size_t stride = cfg_.exec_threads;
@@ -185,11 +180,9 @@ void BohmEngine::ExecStripe(uint32_t exec_id, const Batch& batch) {
     for (size_t idx = exec_id; idx < n; idx += stride) {
       BohmTxn* txn = batch.txns[idx];
       if (!txn->IsComplete()) {
-        if constexpr (kPrefetch) {
-          if (idx + stride < n) {
-            const BohmTxn& next = *batch.txns[idx + stride];
-            if (!next.IsComplete()) PrefetchFootprint(next);
-          }
+        if (idx + stride < n) {
+          const BohmTxn& next = *batch.txns[idx + stride];
+          if (!next.IsComplete()) PrefetchFootprint(next);
         }
         TryExecute(exec_id, txn, 0);
         if (!txn->IsComplete()) all_done = false;

@@ -28,14 +28,13 @@
 namespace bohm {
 
 /// Declared version footprint at and above which a table counts as large
-/// (IsLargeTable). A large table's bucket array and entry arena, and the
-/// engine's version arenas, live on huge-page blocks sized from the
-/// declared capacity, and the CC and execution stages prefetch each
-/// admitted batch's footprint in it. Below the threshold the versions stay
-/// mostly cache-resident, so prefetching would only recompute hashes for
-/// lines already in L1, and a 2 MiB first-touch fault would cost more
-/// set-up time than the table's whole footprint. 8 MiB is four times the
-/// per-core L2 of the hosts measured (docs/ARCHITECTURE.md).
+/// (IsLargeTable). It decides memory placement only: a large table's
+/// bucket array and entry arena, and the engine's version arenas, live on
+/// huge-page blocks sized from the declared capacity. Below the threshold
+/// a 2 MiB first-touch fault would cost more set-up time than the table's
+/// whole footprint. The CC and execution stages prefetch every catalog's
+/// footprint alike. 8 MiB is four times the per-core L2 of the hosts
+/// measured (docs/ARCHITECTURE.md).
 inline constexpr uint64_t kLargeFootprintBytes = uint64_t{8} << 20;
 
 /// capacity x (version header + record): the memory one version of every

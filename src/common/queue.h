@@ -88,6 +88,12 @@ class MpscQueue {
     while (!TryPush(std::move(value))) wait.Pause();
   }
 
+  /// Cells claimed by producers so far: every push that returned true,
+  /// or is about to. relaxed: a count, not a hand-off — a caller ordered
+  /// after a push (its own, or one it synchronized with) reads it back by
+  /// coherence, and no data is read on the strength of the value.
+  size_t claimed() const { return tail_.load(std::memory_order_relaxed); }
+
   size_t capacity() const { return capacity_; }
 
  private:

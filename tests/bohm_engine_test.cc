@@ -96,7 +96,7 @@ TEST(BohmEngineTest, SubmitDuplicateWriteRejected) {
   }
   // The engine keeps running after a rejection.
   ASSERT_TRUE(engine.Submit(std::make_unique<PutProcedure>(0, 1, 2)).ok());
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t v = 0;
   EXPECT_TRUE(engine.ReadLatest(0, 1, &v).ok());
   EXPECT_EQ(v, 2u);
@@ -186,7 +186,7 @@ TEST(BohmEngineTest, SequentialIncrementsAccumulate) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, 1)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 1, &out).ok());
   EXPECT_EQ(out, static_cast<uint64_t>(kN));
@@ -217,7 +217,7 @@ TEST(BohmEngineTest, AbortThenReadChainsCorrectly) {
           .ok());
   ASSERT_TRUE(
       engine->Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, 6u);
@@ -255,7 +255,7 @@ TEST(BohmEngineTest, WriteSkewImpossible) {
   auto engine = MakeEngine(2, cfg, /*initial=*/1);
   ASSERT_TRUE(engine->Submit(testutil::MakeMulWrite(0, 0, 1, 10)).ok());
   ASSERT_TRUE(engine->Submit(testutil::MakeMulWrite(0, 1, 0, 100)).ok());
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   uint64_t a = 0, b = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &a).ok());
   ASSERT_TRUE(engine->ReadLatest(0, 1, &b).ok());
@@ -282,7 +282,7 @@ TEST(BohmEngineTest, TransfersConserveTotal) {
                         0, src, dst, rng.Uniform(10)))
                     .ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   uint64_t total = 0;
   for (Key k = 0; k < kKeys; ++k) {
     uint64_t v = 0;
@@ -317,7 +317,7 @@ TEST(BohmEngineTest, ReadOnlySeesConsistentSnapshot) {
                       .ok());
     }
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   for (uint64_t sum : sums) EXPECT_EQ(sum, 200u);
   engine->Stop();
 }
@@ -378,7 +378,7 @@ TEST_P(BohmSerialEquivalence, RandomRmwMatchesSerialReplay) {
     oracle.Execute(*txn);
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
@@ -410,7 +410,7 @@ TEST(BohmEngineTest, HotKeyRmwChain) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, static_cast<uint64_t>(kN));
@@ -434,7 +434,7 @@ TEST(BohmEngineTest, WatermarkAdvances) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   EXPECT_GE(engine->Watermark(), 0);
   engine->Stop();
 }

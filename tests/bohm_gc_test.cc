@@ -36,7 +36,7 @@ TEST(BohmGcTest, SupersededVersionsAreFreed) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   // Values stay correct...
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
@@ -56,7 +56,7 @@ TEST(BohmGcTest, DisabledGcFreesNothing) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   EXPECT_EQ(engine->gc_freed_versions(), 0u);
   uint64_t out = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &out).ok());
@@ -92,7 +92,7 @@ TEST(BohmGcTest, RecyclingDoesNotCorruptUnderMixedLoad) {
                       .ok());
     }
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   for (uint64_t sum : sums) EXPECT_EQ(sum, 2 * kInitial);
   uint64_t a = 0, b = 0;
   ASSERT_TRUE(engine->ReadLatest(0, 0, &a).ok());
@@ -112,7 +112,7 @@ TEST(BohmGcTest, FreedVersionsBoundedByCreated) {
     ASSERT_TRUE(
         engine->Submit(std::make_unique<IncrementProcedure>(0, i % 4)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   // kN writes create kN versions; at most kN can ever be retired (the
   // newest version of each key is never freed).
   EXPECT_LE(engine->gc_freed_versions(), static_cast<uint64_t>(kN));
@@ -183,7 +183,7 @@ TEST(BohmGcTest, FreesIntoTheRetiredVersionsTable) {
     oracle.Execute(*txn);
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   EXPECT_GT(engine.gc_freed_versions(), 1000u);
   engine.Stop();

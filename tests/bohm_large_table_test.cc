@@ -1,10 +1,9 @@
 // The large-table path: a catalog whose declared version footprint
 // crosses kLargeFootprintBytes puts its index and version arenas on
-// huge-page blocks, and the CC and execution stages prefetch each
-// admitted batch's footprint (src/bohm/cc_worker.cc, exec_worker.cc).
-// Prefetching must never change a result, so every pipeline shape the
-// small-table suites cover — CC threads, GC — is checked here against the
-// serial oracle on a table past the gate.
+// huge-page blocks; smaller catalogs keep heap blocks. Huge-page memory
+// must never change a result, so every pipeline shape the small-table
+// suites cover — CC threads, GC — is checked here against the serial
+// oracle on a table past the gate.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -51,7 +50,6 @@ TEST(ArenaTest, LargeCatalogUsesHugeVersionBlocks) {
   BohmConfig cfg;
   cfg.cc_threads = 2;
   BohmEngine engine(YcsbCatalog(LargeYcsb()), cfg);
-  EXPECT_TRUE(engine.prefetching());
   EXPECT_TRUE(engine.db().table(kYcsbTableId)->large());
   for (uint32_t i = 0; i < cfg.cc_threads; ++i) {
     const Arena& arena = engine.version_arena(i);
@@ -65,8 +63,11 @@ TEST(ArenaTest, SmallCatalogKeepsSmallBlocks) {
   bank.customers = 50;
   BohmConfig cfg;
   cfg.cc_threads = 2;
-  BohmEngine engine(SmallBankCatalog(bank), cfg);
-  EXPECT_FALSE(engine.prefetching());
+  const Catalog catalog = SmallBankCatalog(bank);
+  BohmEngine engine(catalog, cfg);
+  for (const TableSpec& t : catalog.tables()) {
+    EXPECT_FALSE(engine.db().table(t.id)->large()) << t.name;
+  }
   for (uint32_t i = 0; i < cfg.cc_threads; ++i) {
     const Arena& arena = engine.version_arena(i);
     EXPECT_FALSE(arena.huge_pages());
@@ -93,7 +94,7 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
   cfg.gc_enabled = gc;
   const Catalog catalog = YcsbCatalog(ycsb);
   BohmEngine engine(catalog, cfg);
-  ASSERT_TRUE(engine.prefetching());
+  ASSERT_TRUE(engine.db().table(kYcsbTableId)->large());
   perfbench::SerialOracle oracle(catalog);
   ASSERT_TRUE(YcsbLoad(ycsb, testutil::LoadBoth(engine, oracle)).ok());
   ASSERT_TRUE(engine.Start().ok());
@@ -125,7 +126,7 @@ TEST_P(LargeTableEquivalence, MatchesSerialReplay) {
     }
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
 
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   for (size_t i = 0; i < sums.size(); ++i) {

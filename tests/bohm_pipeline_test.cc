@@ -42,7 +42,7 @@ TEST(BohmPipelineTest, MultipleClientThreadsSubmitConcurrently) {
     });
   }
   for (auto& c : clients) c.join();
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
 
   uint64_t total = 0;
   for (Key k = 0; k < 16; ++k) {
@@ -72,7 +72,7 @@ TEST(BohmPipelineTest, TinyPipelineBackpressureIsCorrect) {
     ASSERT_TRUE(
         engine.Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t out = 0;
   ASSERT_TRUE(engine.ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, static_cast<uint64_t>(kN));
@@ -98,7 +98,9 @@ TEST(BohmPipelineTest, PartialBatchSealsWithoutMoreInput) {
 TEST(BohmPipelineTest, InterestSkippingMatchesSerialOracle) {
   // Four CC threads over single-key transactions: every CC thread skips
   // most transactions on the sequencer's interest mask, and the result
-  // must still match the serial oracle.
+  // must still match the serial oracle. A quarter of them overwrite
+  // their record blindly, so a key's updates do not commute and the
+  // state shows the order CC linked its versions in.
   BohmConfig cfg;
   cfg.cc_threads = 4;
   cfg.exec_threads = 2;
@@ -114,11 +116,16 @@ TEST(BohmPipelineTest, InterestSkippingMatchesSerialOracle) {
   Rng rng(55);
   for (int i = 0; i < 800; ++i) {
     Key k = rng.Uniform(32);
-    auto txn = std::make_unique<IncrementProcedure>(0, k, rng.Uniform(9) + 1);
+    ProcedurePtr txn;
+    if (rng.Uniform(4) == 0) {
+      txn = std::make_unique<PutProcedure>(0, k, rng.Uniform(1000));
+    } else {
+      txn = std::make_unique<IncrementProcedure>(0, k, rng.Uniform(9) + 1);
+    }
     oracle.Execute(*txn);
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
@@ -152,7 +159,7 @@ TEST(BohmPipelineTest, LargeRecordsRoundTrip) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(engine.Submit(std::make_unique<BigRmw>()).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   std::vector<char> out(1000);
   ASSERT_TRUE(engine.ReadLatest(0, 0, out.data()).ok());
   EXPECT_EQ(out[0], 0x11);
@@ -198,7 +205,7 @@ TEST(BohmPipelineTest, MultiTableTransactions) {
     ASSERT_TRUE(
         engine.Submit(std::make_unique<CrossTableMove>(i % 8, 1)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   for (Key k = 0; k < 8; ++k) {
     uint64_t a = 0, b = 0;
     ASSERT_TRUE(engine.ReadLatest(0, k, &a).ok());
@@ -244,7 +251,7 @@ TEST(BohmPipelineTest, ManyCcThreadsFewKeys) {
     ASSERT_TRUE(
         engine.Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t out = 0;
   ASSERT_TRUE(engine.ReadLatest(0, 0, &out).ok());
   EXPECT_EQ(out, 200u);
@@ -261,7 +268,7 @@ TEST(BohmPipelineTest, SubmittedCounterTracks) {
   ASSERT_TRUE(engine.Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   ASSERT_TRUE(engine.Submit(std::make_unique<IncrementProcedure>(0, 0)).ok());
   EXPECT_EQ(engine.submitted(), 2u);
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   engine.Stop();
 }
 

@@ -36,21 +36,7 @@ namespace bohm {
 namespace {
 
 using testutil::OneTable;
-
-/// Yield-waits until `pred()` holds or `timeout_ms` elapses; returns
-/// whether the predicate held. Every blocking assertion in this suite
-/// goes through here so a broken pipeline fails the test instead of
-/// hanging the binary until the CTest timeout.
-template <typename Pred>
-bool WaitUntil(Pred pred, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
+using testutil::WaitUntil;
 
 /// One-shot gate a hook can block on (yielding) until the test opens it.
 class Gate {
@@ -108,7 +94,7 @@ TEST_P(StreamedYcsbEquivalence, MatchesSerialOracleAcrossDepths) {
     oracle.Execute(*txn);
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
@@ -151,7 +137,7 @@ TEST_P(StreamedSmallBankEquivalence, MatchesSerialOracle) {
     oracle.Execute(*p);
     ASSERT_TRUE(engine.Submit(std::move(p)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }
@@ -234,7 +220,7 @@ TEST(BohmStreamingTest, ExecNeverObservesBatchBelowCcWatermark) {
   EXPECT_FALSE(seal_violated.load()) << "CC started a batch before its seal";
 
   release.Open();
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   EXPECT_FALSE(watermark_violated.load());
   EXPECT_FALSE(seal_violated.load()) << "CC started a batch before its seal";
 
@@ -294,7 +280,7 @@ TEST(BohmStreamingTest, ExecCommitsBatchWhileCcInsideNextBatch) {
   EXPECT_GT(engine.Stats().commits, 0u);
 
   release.Open();
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t total = 0;
   for (Key k = 0; k < 8; ++k) {
     uint64_t v = 0;
@@ -361,7 +347,7 @@ TEST(BohmStreamingTest, CcThreadsStreamIndependentlyAcrossBatches) {
   EXPECT_TRUE(frozen.load());
 
   release.Open();
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t total = 0;
   for (Key k = 0; k < 16; ++k) {
     uint64_t v = 0;
@@ -412,7 +398,7 @@ TEST(BohmStreamingTest, StallCountersAttributePipelineWait) {
   // to the last sealed batch and waits for the next seal (CC stall).
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   release.Open();
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
 
   const StatsSnapshot s = engine.Stats();
   EXPECT_GT(s.seq_stall_ns, 0u) << "sequencer back-pressure not attributed";
@@ -442,7 +428,7 @@ TEST(BohmStreamingTest, DepthOnePipelineStreamsSerially) {
     ASSERT_TRUE(
         engine.Submit(std::make_unique<IncrementProcedure>(0, i % 4)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   uint64_t total = 0;
   for (Key k = 0; k < 4; ++k) {
     uint64_t v = 0;
@@ -498,7 +484,7 @@ TEST(BohmStreamingTest, WatermarksAreMonotoneAndOrdered) {
                         0, rng.Uniform(32)))
                     .ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   stop.store(true, std::memory_order_release);
   monitor.join();
 

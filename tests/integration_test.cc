@@ -149,7 +149,7 @@ TEST(BohmIntegrationTest, SmallBankConservingMixKeepsTotal) {
   for (int i = 0; i < 1200; ++i) {
     ASSERT_TRUE(engine.Submit(gen.MakeConserving()).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   int64_t total = 0;
   for (Key c = 0; c < cfg.customers; ++c) {
     for (TableId t : {kSbSavingsTable, kSbCheckingTable}) {
@@ -204,7 +204,7 @@ TEST(BohmIntegrationTest, SmallBankFullMixMatchesSerialReplay) {
     oracle.Execute(*p);
     ASSERT_TRUE(engine.Submit(std::move(p)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   EXPECT_GT(oracle.logic_aborts(), 0u);
   testutil::ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
@@ -253,7 +253,7 @@ TEST(BohmIntegrationTest, LongScanObservesInvariantUnderUpdates) {
                       .ok());
     }
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   const uint64_t expected = 100u * cfg.record_count;
   for (uint64_t sum : sums) EXPECT_EQ(sum, expected);
   engine.Stop();

@@ -121,7 +121,7 @@ TEST_F(RecoveryTest, EmptyDirRecoversToEmpty) {
   EXPECT_EQ(engine->recovery_stats().last_seqno, 0u);
   // The recovered-empty engine is a fully working engine.
   SubmitWorkload(engine.get(), 0, 10);
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   engine->Stop();
 }
 
@@ -130,7 +130,7 @@ TEST_F(RecoveryTest, CleanShutdownRecoversAll) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
 
@@ -170,7 +170,7 @@ TEST_F(RecoveryTest, RecoveredEngineContinuesTheLog) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   // Second life: recover, then keep going — the new batches must extend
@@ -179,7 +179,7 @@ TEST_F(RecoveryTest, RecoveredEngineContinuesTheLog) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Recover().ok());
     SubmitWorkload(engine.get(), kTxns, kTxns + 20);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   // Third life sees one continuous history of all kTxns + 20 txns.
@@ -265,7 +265,7 @@ TEST_F(RecoveryTest, ExecutionWaitsForTheDurableRecord) {
   for (Key k = 0; k < 4; ++k) {
     ASSERT_TRUE(engine->Submit(std::make_unique<SlowToLogPut>(k, k)).ok());
   }
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   engine->Stop();
   EXPECT_EQ(early.load(), 0) << "a batch executed before its record";
   EXPECT_EQ(unsynced.load(), 0) << "a batch executed before its fsync";
@@ -349,7 +349,7 @@ TEST_F(RecoveryTest, CrashMatrixRecoversDurablePrefix) {
     auto engine = MakeEngine(Config(Dir("intact")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   std::vector<ReplayedBatch> durable;
@@ -433,7 +433,7 @@ TEST_F(RecoveryTest, MidLogCorruptionIsRefused) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   std::vector<RecordSpan> spans;
@@ -463,7 +463,7 @@ TEST_F(RecoveryTest, MissingLeadingSegmentIsRefused) {
     auto engine = MakeEngine(cfg);
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   std::vector<std::filesystem::path> segments;
@@ -490,7 +490,7 @@ TEST_F(RecoveryTest, MisnamedSegmentIsRefused) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   const std::filesystem::path dir(Dir("log"));
@@ -510,7 +510,7 @@ TEST_F(RecoveryTest, SegmentCreationSyncsTheDirectory) {
     auto engine = MakeEngine(Config(Dir("log"), 0, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, 10);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   // Open() syncs the log dir's entry in its parent; the first segment's
@@ -529,7 +529,7 @@ TEST_F(RecoveryTest, SyncEverySetsTheDataFsyncCount) {
     auto engine = MakeEngine(Config(dir, sync_every, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     // Every record is durable once its batch executed.
     const uint64_t records = engine->Stats().log_records;
     ASSERT_GE(records, 2u);
@@ -544,7 +544,7 @@ TEST_F(RecoveryTest, TailRepairSyncsTheTruncation) {
     auto engine = MakeEngine(Config(Dir("log")));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   std::vector<RecordSpan> spans;
@@ -593,7 +593,7 @@ TEST_F(RecoveryTest, CrashAtSyncLosesOnlyUnsyncedSuffix) {
     auto engine = MakeEngine(Config(Dir("log"), 1, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   EXPECT_TRUE(fault.crashed());
@@ -622,7 +622,7 @@ TEST_F(RecoveryTest, TornWriteCrashRecoversDurablePrefix) {
     auto engine = MakeEngine(Config(Dir("log"), 0, &fault));
     ASSERT_TRUE(engine->Start().ok());
     SubmitWorkload(engine.get(), 0, kTxns);
-    engine->WaitForIdle();
+    testutil::WaitForIdle(*engine);
     engine->Stop();
   }
   EXPECT_TRUE(fault.crashed());
@@ -688,7 +688,7 @@ TEST_F(RecoveryTest, NonLoggableWriterRejectedUnderDurability) {
   bool found = false;
   ASSERT_TRUE(
       engine->Submit(std::make_unique<GetProcedure>(0, 1, &out, &found)).ok());
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   EXPECT_TRUE(found);
   engine->Stop();
 }
@@ -700,7 +700,7 @@ TEST_F(RecoveryTest, NonLoggableWriterAllowedWithoutDurability) {
   for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(engine->Load(0, k, &zero).ok());
   ASSERT_TRUE(engine->Start().ok());
   ASSERT_TRUE(engine->Submit(testutil::MakeMulWrite(0, 1, 2, 3)).ok());
-  engine->WaitForIdle();
+  testutil::WaitForIdle(*engine);
   engine->Stop();
 }
 

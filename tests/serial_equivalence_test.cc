@@ -113,7 +113,7 @@ TEST_P(BohmSeedEquivalence, PipelineMatchesSerialOracle) {
     oracle.Execute(*p);
     ASSERT_TRUE(engine.Submit(std::move(p)).ok());
   }
-  engine.WaitForIdle();
+  testutil::WaitForIdle(engine);
   ExpectMatchesOracle(engine, oracle, catalog);
   engine.Stop();
 }

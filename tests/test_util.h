@@ -1,13 +1,16 @@
 // Shared helpers for engine tests: small catalogs, arithmetic procedures
-// with declared footprints, a synchronous Bohm submit, the comparison of
-// an engine with the serial oracle, and a timed rendezvous used to force
-// genuine transaction overlap in the anomaly tests.
+// with declared footprints, bounded waits and a synchronous Bohm submit,
+// the comparison of an engine with the serial oracle, and a timed
+// rendezvous used to force genuine transaction overlap in the anomaly
+// tests.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -34,10 +37,44 @@ inline Catalog OneTable(uint64_t capacity, TableId id = 0) {
   return c;
 }
 
+/// Yield-waits until `pred()` holds or `timeout_ms` elapses; returns
+/// whether the predicate held, so a broken pipeline fails the test
+/// instead of hanging the binary until the CTest timeout.
+template <typename Pred>
+bool WaitUntil(Pred pred, int timeout_ms = 10000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// BohmEngine::WaitForIdle() with a deadline. If the engine has not
+/// acknowledged every submitted transaction by then, the running test
+/// fails with the pipeline's hand-off state, and the process exits: a
+/// wedged engine's threads can never be joined, so neither the test nor
+/// the engine's destructor could return.
+inline void WaitForIdle(const BohmEngine& engine, int timeout_ms = 60000) {
+  if (WaitUntil([&] { return engine.completed() >= engine.submitted(); },
+                timeout_ms)) {
+    return;
+  }
+  ADD_FAILURE() << "engine not idle after " << timeout_ms
+                << " ms: submitted " << engine.submitted() << ", completed "
+                << engine.completed() << ", last sealed batch "
+                << engine.last_sealed_batch() << ", CC watermark "
+                << engine.CcWatermark() << ", exec watermark "
+                << engine.Watermark();
+  std::fflush(stdout);
+  std::_Exit(1);
+}
+
 /// Submits `proc` and waits until the engine has executed it.
 inline Status RunSync(BohmEngine& engine, ProcedurePtr proc) {
   BOHM_RETURN_NOT_OK(engine.Submit(std::move(proc)));
-  engine.WaitForIdle();
+  WaitForIdle(engine);
   return Status::OK();
 }
 
