@@ -100,13 +100,13 @@ void BM_BohmIndexLookup(benchmark::State& state) {
   BohmTable table(spec, 1);
   VersionAllocator alloc;
   for (Key k = 0; k < 100'000; ++k) {
-    bool inserted = false;
-    (void)table.GetOrInsert(0, k, alloc.Alloc(0, spec.record_size),
-                            &inserted);
+    table.Head(k)->store(alloc.Alloc(0, spec.record_size),
+                         std::memory_order_release);
   }
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Find(0, rng.Uniform(100'000)));
+    benchmark::DoNotOptimize(
+        table.Head(rng.Uniform(100'000))->load(std::memory_order_acquire));
   }
   state.SetItemsProcessed(state.iterations());
 }

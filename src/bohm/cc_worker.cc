@@ -2,7 +2,7 @@
 //
 // Every CC thread walks every batch in log order and, for each
 // transaction, processes exactly those read/write-set elements whose
-// physical partition (static hash of the key) is its own:
+// physical partition (the key modulo the CC thread count) is its own:
 // PartitionOf(key) == cc_id. The decision is purely thread-local and the
 // assignment never changes, so two CC threads never touch the same
 // record and version insertion needs no synchronization. The only
@@ -17,6 +17,7 @@
 
 #include <span>
 
+#include "common/prefetch.h"
 #include "common/spin.h"
 #include "bohm/engine.h"
 
@@ -83,18 +84,18 @@ constexpr size_t kRecycleAhead = 8;
 
 }  // namespace
 
-// Memory-level parallelism (docs/ARCHITECTURE.md). Each index touch is a
-// dependent miss once a table outgrows the caches: bucket slot -> entry,
-// and a free-list version to re-initialize per write. The batch is fixed
-// and its footprint declared, so the misses of later transactions can be
-// started early, AMAC-style (Kocberber et al., PVLDB 2015), in two
-// stages, each one transaction behind the previous: while transaction i
-// is processed, i+1 gets its entries prefetched (its bucket slots arrived
-// during stage 1) and i+2 its bucket slots. The superseded head version
-// itself is never read (CC only links and retires its pointer), so it is
-// not prefetched. Every stage touches only this thread's partition (rule
-// R8). Transactions Submit's pre-processing found no work in for this
-// thread are skipped (Start() caps cc_threads at 64, the mask width).
+// Memory-level parallelism (docs/ARCHITECTURE.md). Each head slot is a
+// cache miss once a table outgrows the caches, and so is the free-list
+// version to re-initialize per write. The batch is fixed and its
+// footprint declared, so the misses of later transactions can be started
+// early, AMAC-style (Kocberber et al., PVLDB 2015): while transaction i is
+// processed, the head slots of i+2 are prefetched for writing. A slot's
+// address is computed from its key, so one stage suffices. The superseded
+// head version itself is never read (CC only links and retires its
+// pointer), so it is not prefetched. Every prefetch touches only this
+// thread's partition (rule R8). Transactions Submit's pre-processing found
+// no work in for this thread are skipped (Start() caps cc_threads at 64,
+// the mask width).
 void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch) {
   CcState& st = *cc_state_[cc_id];
   const uint64_t my_bit = 1ull << cc_id;
@@ -106,15 +107,9 @@ void BohmEngine::CcBatchPrefetched(uint32_t cc_id, const Batch& batch) {
   const size_t n = mine.size();
   for (size_t i = 0; i < n + 2; ++i) {
     if (i < n) {
-      ForOwnedElements(db_, *mine[i], cc_id, [cc_id](BohmTable* t, Key key) {
-        t->PrefetchBucket(cc_id, key);
+      ForOwnedElements(db_, *mine[i], cc_id, [](BohmTable* t, Key key) {
+        PrefetchWrite(t->Head(key));
       });
-    }
-    if (i >= 1 && i - 1 < n) {
-      ForOwnedElements(db_, *mine[i - 1], cc_id,
-                       [cc_id](BohmTable* t, Key key) {
-                         t->PrefetchEntry(cc_id, key);
-                       });
     }
     if (i >= 2) CcProcessTxn(cc_id, mine[i - 2]);
   }
@@ -124,7 +119,8 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
   CcState& st = *cc_state_[cc_id];
   // The footprint is read in place: it is immutable after Submit, and the
   // sealed-watermark acquire that admitted this batch ordered the client's
-  // writes of it before these reads (docs/CONCURRENCY.md, R10).
+  // writes of it before these reads (docs/CONCURRENCY.md, R10). Submit
+  // refused keys past a table's capacity, so every Head() below is a slot.
   const ReadWriteSet& set = txn->proc->rwset();
   const std::span<const RecordId> reads = set.reads();
   const std::span<const RecordId> writes = set.writes();
@@ -140,21 +136,17 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
     const RecordId& rec = reads[i];
     BohmTable* table = db_.table(rec.table);
     if (table->PartitionOf(rec.key) != cc_id) continue;
-    BohmIndexEntry* entry = table->Find(cc_id, rec.key);
     // relaxed: this CC thread is the only writer of heads in its
     // partition, so it reads back the latest store; cross-thread
     // visibility of the annotation itself rides the cc_watermark_
-    // release/acquire edge (rule R5).
-    read_versions[i] =
-        entry ? entry->head.load(std::memory_order_relaxed) : nullptr;
+    // release/acquire edge (rule R5). nullptr: never written.
+    read_versions[i] = table->Head(rec.key)->load(std::memory_order_relaxed);
   }
 
   // Writes: insert an uninitialized placeholder version per element
   // (Section 3.2.2, Figure 3). The placeholder is fully initialized
-  // (producer, prev) *before* it becomes reachable — either via
-  // GetOrInsert's pre-publication head install (new record) or via the
-  // head release-store below (existing record) — so a concurrent reader
-  // never observes a partial version.
+  // (producer, prev) *before* the head release-store below makes it
+  // reachable, so a concurrent reader never observes a partial version.
   for (size_t i = 0; i < writes.size(); ++i) {
     const RecordId& rec = writes[i];
     BohmTable* table = db_.table(rec.table);
@@ -162,25 +154,20 @@ void BohmEngine::CcProcessTxn(uint32_t cc_id, BohmTxn* txn) {
 
     st.alloc.PrefetchRecycled(rec.table, kRecycleAhead);
     Version* v = st.alloc.Alloc(rec.table, record_sizes_[rec.table]);
-    v->producer = txn;  // prev stays nullptr from Alloc until linked below
-
-    bool inserted = false;
-    BohmIndexEntry* entry = table->GetOrInsert(cc_id, rec.key, v, &inserted);
-    if (!inserted) {
-      // relaxed: this CC thread is the only writer of this record's head,
-      // and readers synchronize via the release below (or the entry
-      // publication).
-      Version* old = entry->head.load(std::memory_order_relaxed);
-      v->prev = old;
-      // Queue the superseded version, with its table, in this batch's
-      // group for collection once every execution thread has finished the
-      // batch (src/bohm/gc.cc). Nothing is read from or written to it:
-      // the chain order itself is the log order.
-      if (old != nullptr && cfg_.gc_enabled) {
-        st.retired.PushVersion(old, rec.table);
-      }
-      entry->head.store(v, std::memory_order_release);
+    v->producer = txn;
+    std::atomic<Version*>* head = table->Head(rec.key);
+    // relaxed: this CC thread is the only writer of this record's head,
+    // and readers synchronize via the release below.
+    Version* old = head->load(std::memory_order_relaxed);
+    v->prev = old;
+    // Queue the superseded version, with its table, in this batch's group
+    // for collection once every execution thread has finished the batch
+    // (src/bohm/gc.cc). Nothing is read from or written to it: the chain
+    // order itself is the log order.
+    if (old != nullptr && cfg_.gc_enabled) {
+      st.retired.PushVersion(old, rec.table);
     }
+    head->store(v, std::memory_order_release);
     write_versions[i] = v;
   }
 }

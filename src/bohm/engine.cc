@@ -78,23 +78,25 @@ Status BohmEngine::Load(TableId table, Key key, const void* payload) {
   }
   BohmTable* t = db_.table(table);
   if (t == nullptr) return Status::NotFound("no such table");
-  uint32_t part = t->PartitionOf(key);
-  if (t->Find(part, key) != nullptr) {
+  std::atomic<Version*>* head = t->Head(key);
+  if (head == nullptr) return Status::InvalidArgument("key beyond capacity");
+  // relaxed: Load runs single-threaded before Start.
+  if (head->load(std::memory_order_relaxed) != nullptr) {
     return Status::InvalidArgument("duplicate key in load");
   }
   // Allocate from the partition's owner: the CC thread that supersedes
   // this version later retires it into the free lists it came from.
-  Version* v = cc_state_[part]->alloc.Alloc(table, record_sizes_[table]);
+  Version* v = cc_state_[t->PartitionOf(key)]->alloc.Alloc(
+      table, record_sizes_[table]);
   if (payload != nullptr) {
     std::memcpy(v->data(), payload, record_sizes_[table]);
   } else {
     std::memset(v->data(), 0, record_sizes_[table]);
   }
-  // relaxed: v is thread-private until the entry publication inside
-  // GetOrInsert (release) makes it — flags included — visible.
+  // relaxed: v is thread-private until the head's release store makes
+  // it — flags included — visible.
   v->flags.store(kVersionReady, std::memory_order_relaxed);
-  bool inserted = false;
-  (void)t->GetOrInsert(part, key, v, &inserted);
+  head->store(v, std::memory_order_release);
   return Status::OK();
 }
 
@@ -194,7 +196,8 @@ void BohmEngine::Stop() {
 // comes back as kRejected and the pipeline is untouched. The sequencer can
 // then assume every dequeued transaction is well-formed — the bad-table
 // check here is what keeps a stray table id from dereferencing a null
-// BohmTable inside the pipeline.
+// BohmTable inside the pipeline, and the capacity check a key past its
+// table's head array from indexing beyond it.
 //
 // The same walk over the footprint is the pre-processing of Section 3.2.2:
 // it marks which CC threads own a record of the transaction, on the client
@@ -233,13 +236,21 @@ Status BohmEngine::CheckSubmit(const StoredProcedure* proc,
     if (!known_table(rec.table)) {
       return Status::Rejected("write-set references unknown table");
     }
-    mask |= 1ull << db_.table(rec.table)->PartitionOf(rec.key);
+    const BohmTable& t = *db_.table(rec.table);
+    if (rec.key >= t.spec().capacity) {
+      return Status::Rejected("write-set key beyond table capacity");
+    }
+    mask |= 1ull << t.PartitionOf(rec.key);
   }
   for (const RecordId& rec : set.reads()) {
     if (!known_table(rec.table)) {
       return Status::Rejected("read-set references unknown table");
     }
-    mask |= 1ull << db_.table(rec.table)->PartitionOf(rec.key);
+    const BohmTable& t = *db_.table(rec.table);
+    if (rec.key >= t.spec().capacity) {
+      return Status::Rejected("read-set key beyond table capacity");
+    }
+    mask |= 1ull << t.PartitionOf(rec.key);
   }
   *cc_interest = mask;
   // Duplicate write-set keys would give one transaction two placeholder
@@ -351,10 +362,9 @@ Status BohmEngine::Recover() {
 Status BohmEngine::ReadLatest(TableId table, Key key, void* out) const {
   const BohmTable* t = db_.table(table);
   if (t == nullptr) return Status::NotFound("no such table");
-  uint32_t part = t->PartitionOf(key);
-  BohmIndexEntry* entry = t->Find(part, key);
-  if (entry == nullptr) return Status::NotFound("no such record");
-  Version* v = entry->head.load(std::memory_order_acquire);
+  const std::atomic<Version*>* head = t->Head(key);
+  if (head == nullptr) return Status::NotFound("key beyond capacity");
+  Version* v = head->load(std::memory_order_acquire);
   if (v == nullptr || !v->ready() || v->tombstone()) {
     return Status::NotFound("no visible version");
   }

@@ -8,8 +8,10 @@
 //      --> sequencer thread: totally orders transactions; timestamp =
 //          position in the log; accumulates batches (Sections 3.2.1, 3.2.4)
 //      --> m concurrency-control threads: each walks every batch and
-//          processes exactly the records of its own static hash
-//          partition — inserts uninitialized version placeholders for
+//          processes exactly the records of its own static partition
+//          (key k belongs to CC thread k % m, whose slice of each
+//          table's fixed-size head array holds it; Section 4's array
+//          index) — inserts uninitialized version placeholders for
 //          writes and annotates reads with version references (Sections
 //          3.2.2, 3.2.3); each thread advances its own epoch watermark
 //          per batch instead of parking at a per-batch barrier (Section
@@ -83,8 +85,8 @@ struct DurabilityConfig {
 };
 
 struct BohmConfig {
-  /// m: concurrency-control threads (each owns one physical hash
-  /// partition of every table, PartitionOf(key) == its id). At most 64:
+  /// m: concurrency-control threads (each owns one physical partition of
+  /// every table, PartitionOf(key) == its id). At most 64:
   /// Submit's pre-processing (Section 3.2.2) marks each transaction with a
   /// 64-bit mask of the CC threads it has work for, and Start() rejects
   /// wider configs (InvalidArgument) rather than compute an undefined
@@ -140,7 +142,8 @@ class BohmEngine {
   BOHM_DISALLOW_COPY_AND_ASSIGN(BohmEngine);
 
   /// Inserts an initial record (timestamp-0 version). Must be called
-  /// before Start(); single-threaded.
+  /// before Start(); single-threaded. InvalidArgument for a key >= the
+  /// table's capacity or one already loaded.
   Status Load(TableId table, Key key, const void* payload);
 
   /// Spawns the sequencer, CC, and execution threads. With durability
@@ -186,7 +189,8 @@ class BohmEngine {
   /// Returns Rejected (never crashes the engine) when the transaction
   /// cannot be accepted: engine not running or shutting down, durable log
   /// degraded, a non-loggable procedure under durability, or a malformed
-  /// footprint (unknown table, duplicate write-set keys). A rejected
+  /// footprint (unknown table, a key >= its table's capacity, duplicate
+  /// write-set keys). A rejected
   /// procedure is destroyed on return and nothing is enqueued.
   Status Submit(ProcedurePtr proc);
 
@@ -234,7 +238,7 @@ class BohmEngine {
 
   /// Reads the committed value of a record as of "now" (after
   /// WaitForIdle). Test/example helper; not part of the transactional
-  /// path. Returns NotFound when absent.
+  /// path. Returns NotFound when absent or key >= the table's capacity.
   Status ReadLatest(TableId table, Key key, void* out) const;
 
  private:
@@ -305,9 +309,9 @@ class BohmEngine {
 
   // --- concurrency-control stage (cc_worker.cc) ---
   void CcLoop(uint32_t cc_id);
-  /// CC over this thread's transactions of `batch`, with a staged
-  /// prefetch lookahead over their index footprint: the stage's one loop,
-  /// for every catalog.
+  /// CC over this thread's transactions of `batch`, prefetching the head
+  /// slots of the transaction two ahead: the stage's one loop, for every
+  /// catalog.
   void CcBatchPrefetched(uint32_t cc_id, const Batch& batch);
   void CcProcessTxn(uint32_t cc_id, BohmTxn* txn);
 

@@ -1,156 +1,94 @@
-// The Bohm versioned table: a hash index split into physical partitions
-// (Section 3.2.2), each owned by one concurrency-control thread.
+// The Bohm versioned table: the "simple fixed-size array index to access
+// records" the paper's evaluation gives every system (Section 4), split
+// into physical partitions (Section 3.2.2), each owned by one
+// concurrency-control thread.
 //
-// Ownership discipline is the heart of the design: a record's index entry
-// and head pointer are only ever *written* by the single CC thread that
-// owns the partition the record hashes to. Both the hash and the
-// partition -> thread assignment (partition i belongs to CC thread i) are
-// static, so every index mutation is uncontended by construction.
-// Execution threads *read* entries concurrently ("readers need only spin on
-// inconsistent or stale data", Section 3.3.1): entries are published into
-// bucket chains with release stores and never removed, so a reader either
-// sees a fully-initialized entry or does not see it yet.
+// A table's keys are 0..capacity-1 (TableSpec::capacity). With P
+// partitions, key k's version-chain head sits at slot k / P of partition
+// k % P: no hash and no chain, one load per lookup. A key at or past the
+// capacity has no slot, and the engine refuses it (Load, Submit,
+// ReadLatest).
+//
+// Ownership discipline is the heart of the design: a record's head is
+// only ever *written* by the single CC thread that owns its partition
+// (partition i belongs to CC thread i for the engine's lifetime), so
+// every index mutation is uncontended by construction. Each partition's
+// heads are contiguous and start on a line pair of their own, so no two
+// CC threads write one cache line. A head is written with a release store
+// after the version it points to is fully initialized, so a reader that
+// acquires a non-null head sees a complete version ("readers need only
+// spin on inconsistent or stale data", Section 3.3.1).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/hash.h"
 #include "common/macros.h"
-#include "common/prefetch.h"
 #include "bohm/version.h"
 #include "storage/schema.h"
 
 namespace bohm {
 
 /// Declared version footprint at and above which a table counts as large
-/// (IsLargeTable). It decides memory placement only: a large table's
-/// bucket array and entry arena, and the engine's version arenas, live on
-/// huge-page blocks sized from the declared capacity. Below the threshold
-/// a 2 MiB first-touch fault would cost more set-up time than the table's
-/// whole footprint. The CC and execution stages prefetch every catalog's
+/// (IsLargeTable). It decides memory placement only: a large table's head
+/// arrays, and the engine's version arenas, live on huge-page blocks
+/// sized from the declared capacity. Below the threshold a 2 MiB
+/// first-touch fault would cost more set-up time than the table's whole
+/// footprint. The CC and execution stages prefetch every catalog's
 /// footprint alike. 8 MiB is four times the per-core L2 of the hosts
 /// measured (docs/ARCHITECTURE.md).
 inline constexpr uint64_t kLargeFootprintBytes = uint64_t{8} << 20;
 
-/// capacity x (version header + record): the memory one version of every
+/// capacity x VersionBytes(record): the memory one version of every
 /// declared record takes.
 inline uint64_t VersionFootprintBytes(const TableSpec& spec) {
-  return spec.capacity * (sizeof(Version) + spec.record_size);
+  return spec.capacity * VersionBytes(spec.record_size);
 }
 
 inline bool IsLargeTable(const TableSpec& spec) {
   return VersionFootprintBytes(spec) >= kLargeFootprintBytes;
 }
 
-/// Index entry: one per record ever written. The head pointer tracks the
-/// newest version (Figure 3's per-record chain).
-struct BohmIndexEntry {
-  Key key = 0;
-  std::atomic<Version*> head{nullptr};
-  BohmIndexEntry* next = nullptr;  // bucket chain, set before publication
-};
-
-/// One table, internally split into `partitions` independent hash indexes.
+/// One table: a fixed-size array of version-chain heads (the newest
+/// version of each record, Figure 3), one contiguous run per partition.
 class BohmTable {
  public:
   BohmTable(const TableSpec& spec, uint32_t partitions);
   BOHM_DISALLOW_COPY_AND_ASSIGN(BohmTable);
 
   const TableSpec& spec() const { return spec_; }
-  uint32_t partitions() const { return static_cast<uint32_t>(parts_.size()); }
-  /// IsLargeTable(spec()): index memory is on huge-page blocks.
+  uint32_t partitions() const { return partitions_; }
+  /// IsLargeTable(spec()): the head arrays are on a huge-page block.
   bool large() const { return large_; }
 
-  /// Physical partition of a key (static hash), which is also the id of
-  /// the CC thread that owns it. With one partition no key is hashed.
+  /// Physical partition of a key, which is also the id of the CC thread
+  /// that owns it.
   uint32_t PartitionOf(Key key) const {
-    return parts_.size() == 1
-               ? 0
-               : static_cast<uint32_t>(HashKey(key) % parts_.size());
+    return static_cast<uint32_t>(key % partitions_);
   }
 
-  /// Read-only lookup; safe from any thread concurrently with owner
-  /// inserts. Returns nullptr when the record has never been written. An
-  /// entry returned by Find always has a fully-initialized version chain
-  /// (head != nullptr): GetOrInsert installs the first version before the
-  /// release-store that publishes the entry.
-  BohmIndexEntry* Find(uint32_t partition, Key key) const;
-
-  /// Lookup-or-insert; must only be called by the owning CC thread of
-  /// `partition` (or single-threaded during load). When `key` is absent a
-  /// new entry is created with `initial_head` (must be non-null and fully
-  /// initialized — begin_ts/producer/prev set) installed as the version
-  /// chain head *before* the entry is release-published into the bucket
-  /// chain, so concurrent Find()s never observe a null or partial chain.
-  /// `*inserted` reports whether the entry was created; when false the
-  /// caller owns linking its version behind the existing head (the
-  /// passed `initial_head` is NOT installed).
-  BohmIndexEntry* GetOrInsert(uint32_t partition, Key key,
-                              Version* initial_head, bool* inserted);
-
-  /// CC lookahead, stage 1: prefetch the bucket slot `key` hashes to.
-  void PrefetchBucket(uint32_t partition, Key key) const {
-    const Partition& p = *parts_[partition];
-    PrefetchRead(&p.chains[BucketHash(key) & p.mask]);
-  }
-
-  /// CC lookahead, stage 2: prefetch the first entry of `key`'s bucket
-  /// chain (with ~1 entry per bucket, usually the entry itself). Owner
-  /// thread of `partition` only.
-  void PrefetchEntry(uint32_t partition, Key key) const {
-    const Partition& p = *parts_[partition];
-    // relaxed: called by the partition's single writer, which always sees
-    // its own latest chain head; the value only picks a prefetch address.
-    const BohmIndexEntry* e =
-        p.chains[BucketHash(key) & p.mask].load(std::memory_order_relaxed);
-    if (e != nullptr) PrefetchRead(e);
-  }
-
-  /// Number of entries in a partition (test hook; owner thread only).
-  uint64_t EntryCount(uint32_t partition) const {
-    return parts_[partition]->count;
-  }
-
-  /// Longest bucket chain in a partition (test hook; owner thread only).
-  /// Regression observable for the partition/bucket hash aliasing bug:
-  /// bucketing by the same hash that chose the partition left only
-  /// buckets/partitions slots reachable per partition, so chains grew
-  /// ~partitions times longer than the ~1-entry-per-bucket sizing
-  /// intends.
-  uint64_t MaxChainLength(uint32_t partition) const {
-    const Partition& p = *parts_[partition];
-    uint64_t longest = 0;
-    for (uint64_t b = 0; b <= p.mask; ++b) {
-      uint64_t len = 0;
-      // relaxed: owner-thread/test-only accounting walk; entry fields
-      // were published by the chain's release stores before the walk.
-      for (BohmIndexEntry* e = p.chains[b].load(std::memory_order_relaxed);
-           e != nullptr; e = e->next) {
-        ++len;
-      }
-      longest = std::max(longest, len);
-    }
-    return longest;
+  /// The head slot of `key`, nullptr when key >= capacity. The slot holds
+  /// nullptr until the record's first version is installed. Only the CC
+  /// thread that owns PartitionOf(key) (or the loader, before Start)
+  /// stores to it, with release; any thread may load it, with acquire.
+  /// Key p < partitions() has the first slot of partition p's array.
+  std::atomic<Version*>* Head(Key key) const {
+    if (key >= spec_.capacity) return nullptr;
+    return &heads_[(key % partitions_) * stride_ + key / partitions_];
   }
 
  private:
-  struct Partition {
-    Partition(uint64_t buckets, uint64_t expected_entries, bool large);
-    uint64_t mask;
-    Block bucket_block;  // owns the memory `chains` points into
-    std::atomic<BohmIndexEntry*>* chains;
-    Arena arena;        // entries; touched only by the owning CC thread
-    uint64_t count = 0;
-  };
-
   TableSpec spec_;
+  uint32_t partitions_;
   bool large_;
-  std::vector<std::unique_ptr<Partition>> parts_;
+  /// Slots per partition: ceil(capacity / partitions), rounded up to a
+  /// whole line pair so the next partition's array starts on its own.
+  uint64_t stride_;
+  Block block_;  // owns the memory `heads_` points into
+  std::atomic<Version*>* heads_;
 };
 
 /// All Bohm tables of a database instance.

@@ -9,15 +9,15 @@ Version* VersionAllocator::Alloc(TableId table, uint32_t record_size) {
     Version* v = free_lists_[table].back();
     free_lists_[table].pop_back();
     // Re-initialize in place; payload is overwritten by the executor.
-    // relaxed: the version is private to this CC thread until it is
-    // release-published into the index (GetOrInsert / head store), which
-    // orders these initializing stores for readers.
+    // relaxed: the version is private to this CC thread until the release
+    // store of its record's head publishes it, which orders these
+    // initializing stores for readers.
     v->flags.store(0, std::memory_order_relaxed);
     v->producer = nullptr;
     v->prev = nullptr;
     return v;
   }
-  void* mem = arena_.Allocate(sizeof(Version) + record_size, alignof(Version));
+  void* mem = arena_.Allocate(VersionBytes(record_size), kCacheLineSize);
   return new (mem) Version();
 }
 

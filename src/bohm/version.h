@@ -10,6 +10,12 @@
 // thread evaluating the producing transaction (Section 3.3.1). The ready
 // flag is the "has the data been produced yet" signal execution threads
 // block on — the one place in Bohm where writes may block reads.
+//
+// A CC thread initializes a version and installs it as its record's head
+// in the table's array (bohm/table.h); an execution thread then fills it
+// and publishes it. Each version sits on whole cache lines of its own
+// (VersionBytes), so those two writers, and the writers of neighbouring
+// versions, never share a line.
 #pragma once
 
 #include <atomic>
@@ -61,6 +67,18 @@ struct Version {
 /// then the two pointers.
 static_assert(sizeof(Version) == 24);
 
+/// Bytes one version of a `record_size`-byte record occupies: header and
+/// payload rounded up to whole cache lines. Versions start on a line of
+/// their own, because a version is written by two threads in turn (the
+/// CC thread that allocates and links it, then the execution thread that
+/// fills and publishes it), and two versions sharing a line would make
+/// each thread's writes pull the line from the other (docs/CONCURRENCY.md,
+/// rule R9).
+inline uint32_t VersionBytes(uint32_t record_size) {
+  const auto bytes = static_cast<uint32_t>(sizeof(Version)) + record_size;
+  return (bytes + kCacheLineSize - 1) & ~uint32_t{kCacheLineSize - 1};
+}
+
 /// Thread-local version allocator with one free list per table (versions
 /// are fixed-size per table). The GC (Section 3.3.2) recycles versions
 /// through these free lists, so steady-state version turnover performs no
@@ -76,7 +94,8 @@ class VersionAllocator {
       : arena_(arena_block_bytes, huge_pages) {}
   BOHM_DISALLOW_COPY_AND_ASSIGN(VersionAllocator);
 
-  /// Allocates a version with `record_size` payload bytes for `table`.
+  /// Allocates a version with `record_size` payload bytes for `table`, on
+  /// VersionBytes(record_size) bytes of whole, line-aligned cache lines.
   Version* Alloc(TableId table, uint32_t record_size);
 
   /// Returns a version of `table` to that table's free list. The caller

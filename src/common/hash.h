@@ -1,7 +1,7 @@
 // Key hashing. A single strong 64-bit mixer is used everywhere a key must
-// be mapped to a partition or bucket so that the Bohm CC partitioning and
-// the hash-table bucketing see well-scattered bits even for dense integer
-// key spaces (YCSB and SmallBank keys are 0..N-1).
+// be mapped to a bucket, so the hash indexes of the single-version
+// engines see well-scattered bits even for dense integer key spaces (YCSB
+// and SmallBank keys are 0..N-1).
 #pragma once
 
 #include <cstdint>
@@ -15,18 +15,6 @@ inline uint64_t HashKey(uint64_t key) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
-}
-
-/// Bucket-index hash, independent of HashKey. Structures that split by
-/// HashKey(key) % P and then bucket within the split must NOT reuse the
-/// same hash for the bucket index: when P shares a factor with the
-/// (power-of-two) bucket count, every key in split p satisfies
-/// hash ≡ p (mod P), so `hash & mask` can only reach buckets/P of the
-/// slots — with P=128 physical partitions that collapses a 2048-bucket
-/// partition to 16 live chains ~128x the intended length. Same mixer
-/// over a tweaked input gives a fully decorrelated second index.
-inline uint64_t BucketHash(uint64_t key) {
-  return HashKey(key ^ 0x9ae16a3b2f90404full);
 }
 
 /// Combines a table id and key into one hash (used by lock tables that

@@ -1,6 +1,6 @@
 // Table schemas. The paper's workloads use fixed-size records (YCSB:
 // 1,000 bytes; SmallBank and the microbenchmark: 8 bytes), so tables are
-// declared with a fixed record size and a capacity hint.
+// declared with a fixed record size and a capacity.
 #pragma once
 
 #include <cstdint>
@@ -17,13 +17,12 @@ struct TableSpec {
   std::string name;
   /// Fixed payload size of every record in this table, in bytes.
   uint32_t record_size = 8;
-  /// Expected number of distinct keys; sizes hash indexes and, for
-  /// dense-keyed tables, the array index used by the Hekaton/SI engines.
+  /// Keys are 0..capacity-1, as in every paper workload. The
+  /// multi-version engines (Bohm, Hekaton, SI) reach records through the
+  /// paper's "simple fixed-size array index" (Section 4) of `capacity`
+  /// slots and refuse any other key; the single-version engines size
+  /// their hash indexes from it.
   uint64_t capacity = 0;
-  /// True when keys are exactly 0..capacity-1. All of the paper's
-  /// workloads are dense-keyed; dense tables let the MV-OCC engines use
-  /// the "simple fixed-size array index" the paper describes.
-  bool dense_keys = true;
 };
 
 /// The set of tables a database instance serves. Immutable once built.

@@ -24,11 +24,11 @@ void WriteBalance(TxnOps& ops, TableId table, Key key, int64_t v) {
 Catalog SmallBankCatalog(const SmallBankConfig& cfg) {
   Catalog catalog;
   (void)catalog.AddTable(TableSpec{kSbCustomerTable, "customer", 8,
-                                   cfg.customers, true});
+                                   cfg.customers});
   (void)catalog.AddTable(TableSpec{kSbSavingsTable, "savings", 8,
-                                   cfg.customers, true});
+                                   cfg.customers});
   (void)catalog.AddTable(TableSpec{kSbCheckingTable, "checking", 8,
-                                   cfg.customers, true});
+                                   cfg.customers});
   return catalog;
 }
 

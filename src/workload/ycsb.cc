@@ -14,7 +14,6 @@ Catalog YcsbCatalog(const YcsbConfig& cfg) {
   spec.name = "usertable";
   spec.record_size = cfg.record_size;
   spec.capacity = cfg.record_count;
-  spec.dense_keys = true;
   Catalog catalog;
   (void)catalog.AddTable(std::move(spec));
   return catalog;

@@ -53,12 +53,16 @@ class AbortedDelete final : public StoredProcedure {
   Key key_;
 };
 
-std::unique_ptr<BohmEngine> MakeEngine(uint64_t keys, uint64_t initial) {
+/// Loads keys 0..keys-1 of a table declared with `capacity` slots (keys
+/// by default); the keys between stay absent.
+std::unique_ptr<BohmEngine> MakeEngine(uint64_t keys, uint64_t initial,
+                                       uint64_t capacity = 0) {
   BohmConfig cfg;
   cfg.cc_threads = 2;
   cfg.exec_threads = 2;
   cfg.batch_size = 8;
-  auto engine = std::make_unique<BohmEngine>(OneTable(keys), cfg);
+  auto engine = std::make_unique<BohmEngine>(
+      OneTable(capacity == 0 ? keys : capacity), cfg);
   for (Key k = 0; k < keys; ++k) {
     EXPECT_TRUE(engine->Load(0, k, &initial).ok());
   }
@@ -141,7 +145,7 @@ TEST(BohmDeleteTest, AbortedDeleteKeepsRecord) {
 }
 
 TEST(BohmDeleteTest, DeleteAbsentRecordIsNoop) {
-  auto engine = MakeEngine(2, 1);
+  auto engine = MakeEngine(2, 1, /*capacity=*/1024);
   ASSERT_TRUE(
       RunSync(*engine, std::make_unique<DeleteProcedure>(0, 999)).ok());
   uint64_t out = 0;

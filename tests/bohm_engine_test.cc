@@ -20,9 +20,13 @@ namespace {
 using testutil::OneTable;
 using testutil::RunSync;
 
+/// Loads keys 0..keys-1 of a table declared with `capacity` slots (keys
+/// by default); the keys between stay absent.
 std::unique_ptr<BohmEngine> MakeEngine(uint64_t keys, BohmConfig cfg,
-                                       uint64_t initial = 0) {
-  auto engine = std::make_unique<BohmEngine>(OneTable(keys), cfg);
+                                       uint64_t initial = 0,
+                                       uint64_t capacity = 0) {
+  auto engine = std::make_unique<BohmEngine>(
+      OneTable(capacity == 0 ? keys : capacity), cfg);
   for (Key k = 0; k < keys; ++k) {
     EXPECT_TRUE(engine->Load(0, k, &initial).ok());
   }
@@ -118,6 +122,66 @@ TEST(BohmEngineTest, LoadDuplicateRejected) {
   EXPECT_TRUE(engine.Load(0, 0, &v).IsInvalidArgument());
 }
 
+// Keys are 0..capacity-1: a key past the declared capacity has no head
+// slot in the table's array, so every entry point refuses it.
+
+TEST(BohmEngineTest, SubmitReadKeyBeyondCapacityRejected) {
+  BohmConfig cfg;
+  cfg.cc_threads = 2;
+  BohmEngine engine(OneTable(4), cfg);
+  ASSERT_TRUE(engine.Start().ok());
+  uint64_t out = 0;
+  for (Key key : {Key{4}, Key{5}, ~Key{0}}) {
+    Status st = engine.Submit(std::make_unique<GetProcedure>(0, key, &out));
+    EXPECT_TRUE(st.IsRejected()) << "key " << key << ": " << st.ToString();
+  }
+  EXPECT_EQ(engine.submitted(), 0u);
+  engine.Stop();
+}
+
+TEST(BohmEngineTest, SubmitWriteKeyBeyondCapacityRejected) {
+  BohmConfig cfg;
+  cfg.cc_threads = 2;
+  BohmEngine engine(OneTable(4), cfg);
+  ASSERT_TRUE(engine.Start().ok());
+  for (Key key : {Key{4}, Key{5}, ~Key{0}}) {
+    Status st = engine.Submit(std::make_unique<PutProcedure>(0, key, 1));
+    EXPECT_TRUE(st.IsRejected()) << "key " << key << ": " << st.ToString();
+  }
+  EXPECT_EQ(engine.submitted(), 0u);
+  // The engine keeps running after a rejection, and the last key fits.
+  ASSERT_TRUE(engine.Submit(std::make_unique<PutProcedure>(0, 3, 9)).ok());
+  EXPECT_EQ(engine.submitted(), 1u);
+  testutil::WaitForIdle(engine);
+  uint64_t v = 0;
+  EXPECT_TRUE(engine.ReadLatest(0, 3, &v).ok());
+  EXPECT_EQ(v, 9u);
+  engine.Stop();
+}
+
+TEST(BohmEngineTest, LoadBeyondCapacityRejected) {
+  BohmConfig cfg;
+  cfg.cc_threads = 3;
+  BohmEngine engine(OneTable(4), cfg);
+  uint64_t v = 1;
+  EXPECT_TRUE(engine.Load(0, 3, &v).ok());
+  EXPECT_TRUE(engine.Load(0, 4, &v).IsInvalidArgument());
+  EXPECT_TRUE(engine.Load(0, 7, &v).IsInvalidArgument());
+  EXPECT_TRUE(engine.Load(0, ~Key{0}, &v).IsInvalidArgument());
+}
+
+TEST(BohmEngineTest, ReadLatestBeyondCapacityNotFound) {
+  BohmEngine engine(OneTable(4), BohmConfig{});
+  uint64_t v = 1;
+  for (Key k = 0; k < 4; ++k) ASSERT_TRUE(engine.Load(0, k, &v).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  uint64_t out = 0;
+  EXPECT_TRUE(engine.ReadLatest(0, 3, &out).ok());
+  EXPECT_TRUE(engine.ReadLatest(0, 4, &out).IsNotFound());
+  EXPECT_TRUE(engine.ReadLatest(0, ~Key{0}, &out).IsNotFound());
+  engine.Stop();
+}
+
 TEST(BohmEngineTest, StartRejectsInterestMaskWiderThan64Threads) {
   BohmConfig cfg;
   cfg.cc_threads = 65;  // 1ull << 64 would be undefined
@@ -154,7 +218,7 @@ TEST(BohmEngineTest, GetSeesLoadedValue) {
 }
 
 TEST(BohmEngineTest, ReadMissingKeySeesNull) {
-  auto engine = MakeEngine(4, BohmConfig{});
+  auto engine = MakeEngine(4, BohmConfig{}, 0, /*capacity=*/2048);
   uint64_t out = 99;
   bool found = true;
   // Key 1000 was never loaded or written.
@@ -166,7 +230,7 @@ TEST(BohmEngineTest, ReadMissingKeySeesNull) {
 }
 
 TEST(BohmEngineTest, InsertNewKeyVisible) {
-  auto engine = MakeEngine(4, BohmConfig{});
+  auto engine = MakeEngine(4, BohmConfig{}, 0, /*capacity=*/2048);
   ASSERT_TRUE(
       RunSync(*engine, std::make_unique<PutProcedure>(0, 500, 1)).ok());
   uint64_t out = 0;
@@ -225,7 +289,7 @@ TEST(BohmEngineTest, AbortThenReadChainsCorrectly) {
 }
 
 TEST(BohmEngineTest, AbortedInsertRemainsAbsent) {
-  auto engine = MakeEngine(4, BohmConfig{});
+  auto engine = MakeEngine(4, BohmConfig{}, 0, /*capacity=*/2048);
   // Write to a fresh key, then abort: the placeholder becomes a tombstone.
   class AbortingInsert final : public StoredProcedure {
    public:

@@ -170,8 +170,8 @@ TEST(BohmPipelineTest, LargeRecordsRoundTrip) {
 
 TEST(BohmPipelineTest, MultiTableTransactions) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(TableSpec{0, "a", 8, 8, true}).ok());
-  ASSERT_TRUE(catalog.AddTable(TableSpec{1, "b", 8, 8, true}).ok());
+  ASSERT_TRUE(catalog.AddTable(TableSpec{0, "a", 8, 8}).ok());
+  ASSERT_TRUE(catalog.AddTable(TableSpec{1, "b", 8, 8}).ok());
   BohmConfig cfg;
   cfg.cc_threads = 2;
   cfg.exec_threads = 2;

@@ -8,7 +8,7 @@
 //  (b) the watermark is honoured — with a CC thread frozen mid-batch via
 //      a test hook, execution never enters a batch the CC watermark fold
 //      has not passed (the streaming analogue of the index test
-//      FindNeverObservesUninitializedHead);
+//      ConcurrentReadersDuringOwnerInserts);
 //  (c) overlap really happens — execution commits batch b while a CC
 //      thread is inside batch b+1, and CC threads cross batch boundaries
 //      independently of each other (impossible under the old barrier), so
@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -57,6 +58,27 @@ class Gate {
 // (a) Serial equivalence across pipeline depths, YCSB mix.
 // ---------------------------------------------------------------------------
 
+/// Blind overwrite of whole YCSB records with one byte value. It reads
+/// nothing, so it does not commute with the RMWs on the same key, and the
+/// final state shows the order CC linked each key's versions in.
+class YcsbOverwriteProcedure final : public StoredProcedure {
+ public:
+  YcsbOverwriteProcedure(const std::vector<Key>& keys, uint32_t record_size,
+                         uint8_t fill)
+      : record_size_(record_size), fill_(fill) {
+    for (Key k : keys) set_.AddWrite(kYcsbTableId, k);
+  }
+  void Run(TxnOps& ops) override {
+    for (const RecordId& rec : set_.writes()) {
+      std::memset(ops.Write(rec.table, rec.key), fill_, record_size_);
+    }
+  }
+
+ private:
+  uint32_t record_size_;
+  uint8_t fill_;
+};
+
 class StreamedYcsbEquivalence
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>> {};
 
@@ -90,7 +112,14 @@ TEST_P(StreamedYcsbEquivalence, MatchesSerialOracleAcrossDepths) {
       for (Key seen : keys) dup = dup || seen == k;
       if (!dup) keys.push_back(k);
     }
-    auto txn = std::make_unique<YcsbRmwProcedure>(keys, ycsb.record_size);
+    // A quarter of the transactions overwrite their records blindly.
+    ProcedurePtr txn;
+    if (rng.Uniform(4) == 0) {
+      txn = std::make_unique<YcsbOverwriteProcedure>(
+          keys, ycsb.record_size, static_cast<uint8_t>(rng.Uniform(255) + 1));
+    } else {
+      txn = std::make_unique<YcsbRmwProcedure>(keys, ycsb.record_size);
+    }
     oracle.Execute(*txn);
     ASSERT_TRUE(engine.Submit(std::move(txn)).ok());
   }

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bohm/version.h"
@@ -36,168 +38,127 @@ TEST(BohmTableTest, PartitionsCoverAllThreads) {
   for (bool h : hit) EXPECT_TRUE(h);
 }
 
-// Sentinel version pointers: the table never dereferences heads, so tests
-// that only exercise index behaviour can use tagged values.
-Version* Sentinel(uintptr_t tag) { return reinterpret_cast<Version*>(tag); }
-
-TEST(BohmTableTest, GetOrInsertFindsSame) {
-  BohmTable t(Spec(100), 2);
-  Key k = 42;
-  uint32_t p = t.PartitionOf(k);
-  bool ins1 = false;
-  bool ins2 = true;
-  BohmIndexEntry* e1 = t.GetOrInsert(p, k, Sentinel(1), &ins1);
-  BohmIndexEntry* e2 = t.GetOrInsert(p, k, Sentinel(2), &ins2);
-  EXPECT_TRUE(ins1);
-  EXPECT_FALSE(ins2);
-  EXPECT_EQ(e1, e2);
-  EXPECT_EQ(t.Find(p, k), e1);
-  // The losing initial_head is NOT installed; the first insert's head
-  // stays (the caller links further versions itself).
-  EXPECT_EQ(e1->head.load(), Sentinel(1));
-}
-
-TEST(BohmTableTest, FindMissingReturnsNull) {
-  BohmTable t(Spec(100), 2);
-  EXPECT_EQ(t.Find(t.PartitionOf(5), 5), nullptr);
-}
-
-TEST(BohmTableTest, EntryCountPerPartition) {
-  BohmTable t(Spec(1000), 2);
-  uint64_t total = 0;
-  for (Key k = 0; k < 100; ++k) {
-    bool inserted = false;
-    (void)t.GetOrInsert(t.PartitionOf(k), k, Sentinel(k + 1), &inserted);
-    EXPECT_TRUE(inserted);
+TEST(BohmTableTest, EveryKeyHasExactlyOneSlot) {
+  for (uint32_t parts : {1u, 2u, 3u, 7u}) {
+    constexpr uint64_t kCap = 1001;
+    BohmTable t(Spec(kCap), parts);
+    std::set<const void*> slots;
+    for (Key k = 0; k < kCap; ++k) {
+      const std::atomic<Version*>* head = t.Head(k);
+      ASSERT_NE(head, nullptr) << k;
+      EXPECT_EQ(t.Head(k), head) << k;
+      EXPECT_TRUE(slots.insert(head).second)
+          << "key " << k << " shares a slot, " << parts << " partitions";
+      // Nothing is installed until the record is loaded or written.
+      EXPECT_EQ(head->load(std::memory_order_relaxed), nullptr);
+    }
+    EXPECT_EQ(slots.size(), kCap);
   }
-  for (uint32_t p = 0; p < 2; ++p) total += t.EntryCount(p);
-  EXPECT_EQ(total, 100u);
 }
 
-TEST(BohmTableTest, BucketHashIndependentOfPartitionHash) {
-  // Regression: partition = HashKey(key) % P and bucket = hash & mask
-  // used the SAME hash. With a power-of-two partition count (any
-  // power-of-two number of CC threads) every key in partition p satisfies
-  // hash ≡ p (mod P), so only buckets/P bucket slots per partition were
-  // reachable — chains ran ~P times longer than the ~1-per-bucket
-  // sizing, roughly halving whole-pipeline throughput at P=128. With an
-  // independent BucketHash, a dense keyspace at the sized capacity must
-  // keep chains near 1 (generous bound: 8).
-  constexpr uint64_t kN = 100'000;
-  constexpr uint32_t kParts = 128;
-  BohmTable t(Spec(kN), kParts);
-  for (Key k = 0; k < kN; ++k) {
-    bool inserted = false;
-    (void)t.GetOrInsert(t.PartitionOf(k), k, Sentinel(k + 1), &inserted);
-    ASSERT_TRUE(inserted);
-  }
+TEST(BohmTableTest, EachPartitionsSlotsAreContiguous) {
+  constexpr uint32_t kParts = 3;
+  BohmTable t(Spec(100), kParts);
   for (uint32_t p = 0; p < kParts; ++p) {
-    EXPECT_LE(t.MaxChainLength(p), 8u) << "partition " << p;
+    // Partition p holds keys p, p + P, p + 2P, ... in consecutive slots,
+    // starting at key p's.
+    const std::atomic<Version*>* first = t.Head(p);
+    for (Key k = p, s = 0; k < 100; k += kParts, ++s) {
+      EXPECT_EQ(t.Head(k), first + s) << "key " << k;
+      EXPECT_EQ(t.PartitionOf(k), p);
+    }
   }
 }
 
-TEST(BohmTableTest, ManyKeysNoCollisionLoss) {
-  constexpr uint64_t kN = 50000;
-  BohmTable t(Spec(kN), 3);
-  for (Key k = 0; k < kN; ++k) {
-    bool inserted = false;
-    (void)t.GetOrInsert(t.PartitionOf(k), k, Sentinel(k + 1), &inserted);
+TEST(BohmTableTest, KeyBeyondCapacityHasNoSlot) {
+  BohmTable t(Spec(100), 4);
+  EXPECT_NE(t.Head(99), nullptr);
+  EXPECT_EQ(t.Head(100), nullptr);
+  EXPECT_EQ(t.Head(103), nullptr);  // same partition as key 99
+  EXPECT_EQ(t.Head(~Key{0}), nullptr);
+  BohmTable empty(Spec(0), 2);
+  EXPECT_EQ(empty.Head(0), nullptr);
+}
+
+TEST(BohmTableTest, HeadArraysAreLinePairAligned) {
+  // Each partition's array starts on a line pair of its own, so the
+  // heads of two CC threads never share a line (or an adjacent-line
+  // prefetch pair).
+  for (uint64_t cap : {5u, 17u, 1000u, 4099u}) {
+    for (uint32_t parts : {1u, 2u, 3u, 5u}) {
+      BohmTable t(Spec(cap), parts);
+      for (uint32_t p = 0; p < parts; ++p) {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(t.Head(p)) % kLinePairSize, 0u)
+            << "capacity " << cap << ", partition " << p << "/" << parts;
+      }
+    }
   }
-  for (Key k = 0; k < kN; ++k) {
-    ASSERT_NE(t.Find(t.PartitionOf(k), k), nullptr) << k;
+}
+
+TEST(BohmTableTest, LargeTableHeadsAreOnHugePages) {
+  TableSpec large = Spec(10'000);
+  large.record_size = 1000;  // ~10 MB of versions: past the gate
+  ASSERT_TRUE(IsLargeTable(large));
+  BohmTable t(large, 2);
+  EXPECT_TRUE(t.large());
+  // A huge-page block starts on a 2 MiB boundary (AllocHugeBlock).
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(t.Head(0)) % kHugePageBytes, 0u);
+  for (Key k = 0; k < 10'000; ++k) {
+    ASSERT_EQ(t.Head(k)->load(std::memory_order_relaxed), nullptr) << k;
   }
+  EXPECT_FALSE(BohmTable(Spec(10'000), 2).large());
 }
 
 TEST(BohmTableTest, ConcurrentReadersDuringOwnerInserts) {
-  // One owner thread inserts into its partition while readers look up:
-  // readers must only ever see fully-initialized entries (correct key,
-  // initialized head, never a crash), the single-writer/multi-reader
-  // discipline of Section 3.3.1.
-  //
-  // `published` starts at -1 ("nothing inserted yet"): the seed version of
-  // this test initialized it to 0, so a reader racing ahead of the owner's
-  // very first insert probed key 0 before it existed and reported a
-  // missing entry — the ~5/12 TSan flake of ROADMAP item 1b.
-  BohmTable t(Spec(100000), 1);  // single partition: all keys owned by 0
+  // One owner thread installs first versions into its partition while
+  // readers load the same heads: a reader that sees a head must see the
+  // version it points to fully written (payload, flags, links), the
+  // single-writer/multi-reader discipline of Section 3.3.1. The owner
+  // initializes each version and then release-stores the head; readers
+  // acquire-load it. The readers chase the owner key by key, inspecting
+  // each version the moment it appears, so a head stored before its
+  // version is complete is caught within a handful of keys; under TSan
+  // the plain payload reads also race unless the release/acquire pair
+  // orders them.
   constexpr int64_t kMax = 20000;
-  std::atomic<int64_t> published{-1};
-  std::atomic<bool> failed{false};
-
-  std::thread owner([&] {
-    for (int64_t k = 0; k < kMax; ++k) {
-      bool inserted = false;
-      (void)t.GetOrInsert(0, static_cast<Key>(k), Sentinel(k + 1), &inserted);
-      published.store(k, std::memory_order_release);
-    }
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      while (published.load(std::memory_order_acquire) < kMax - 1) {
-        int64_t upto = published.load(std::memory_order_acquire);
-        for (int64_t k = 0; k <= upto; k += 97) {
-          BohmIndexEntry* e = t.Find(0, static_cast<Key>(k));
-          if (e == nullptr || e->key != static_cast<Key>(k) ||
-              e->head.load(std::memory_order_acquire) == nullptr) {
-            failed.store(true, std::memory_order_release);
-            return;
-          }
-        }
-      }
-    });
-  }
-  owner.join();
-  for (auto& r : readers) r.join();
-  EXPECT_FALSE(failed.load());
-}
-
-TEST(BohmTableTest, FindNeverObservesUninitializedHead) {
-  // Publication-ordering regression (ROADMAP item 1b): GetOrInsert must
-  // install the version-chain head *before* release-publishing the entry
-  // into the bucket chain. The readers chase the owner's publication edge
-  // — they spin on Find() for exactly the key being inserted and inspect
-  // the head the moment the entry appears — so an implementation that
-  // publishes first and installs the head afterwards (the seed tree's
-  // cc_worker/Load sequence) is caught within a handful of keys; under
-  // TSan's scheduler the window is torn wide open.
-  BohmTable t(Spec(100000), 1);
-  constexpr int64_t kMax = 20000;
-  std::atomic<int64_t> inserting{-1};
-  std::atomic<uint64_t> bad_heads{0};
+  BohmTable t(Spec(kMax), 1);  // single partition: all keys owned by 0
+  VersionAllocator alloc;
+  std::atomic<uint64_t> bad{0};
   std::atomic<uint64_t> observed{0};
 
-  // Readers sweep every key exactly once and terminate on their own: once
-  // the owner has inserted key k, Find(k) eventually succeeds, so the
-  // sweep always completes — no stop flag, and each reader deterministically
-  // inspects all kMax entries however the threads are scheduled.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       for (int64_t k = 0; k < kMax;) {
-        // Only probe keys the owner has started inserting; probing ahead
-        // would just return nullptr (absent key), which is fine but noise.
-        if (inserting.load(std::memory_order_acquire) < k) continue;
-        BohmIndexEntry* e = t.Find(0, static_cast<Key>(k));
-        if (e == nullptr) continue;  // not published yet: retry same key
-        observed.fetch_add(1, std::memory_order_relaxed);
-        if (e->head.load(std::memory_order_acquire) == nullptr) {
-          bad_heads.fetch_add(1, std::memory_order_relaxed);
+        const Version* v =
+            t.Head(static_cast<Key>(k))->load(std::memory_order_acquire);
+        if (v == nullptr) {
+          std::this_thread::yield();
+          continue;  // not installed yet: retry the same key
         }
+        uint64_t payload = 0;
+        std::memcpy(&payload, v->data(), sizeof(payload));
+        if (payload != static_cast<uint64_t>(k) || !v->ready() ||
+            v->prev != nullptr) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        observed.fetch_add(1, std::memory_order_relaxed);
         ++k;
       }
     });
   }
 
   for (int64_t k = 0; k < kMax; ++k) {
-    inserting.store(k, std::memory_order_release);
-    bool inserted = false;
-    (void)t.GetOrInsert(0, static_cast<Key>(k), Sentinel(k + 1), &inserted);
-    ASSERT_TRUE(inserted);
+    Version* v = alloc.Alloc(0, 8);
+    const auto payload = static_cast<uint64_t>(k);
+    std::memcpy(v->data(), &payload, sizeof(payload));
+    // relaxed: v is private until the head's release store below.
+    v->flags.store(kVersionReady, std::memory_order_relaxed);
+    t.Head(static_cast<Key>(k))->store(v, std::memory_order_release);
   }
   for (auto& r : readers) r.join();
-  EXPECT_EQ(bad_heads.load(), 0u)
-      << "a Find() returned an entry whose version chain head was not yet "
-         "installed — entry published before initialization";
+  EXPECT_EQ(bad.load(), 0u)
+      << "a reader saw a head whose version was not yet fully written";
   EXPECT_EQ(observed.load(), 2u * kMax);
 }
 
@@ -235,6 +196,27 @@ TEST(VersionAllocatorTest, PerTableFreeLists) {
   EXPECT_EQ(big2, big);
   std::memset(big2->data(), 0xEE, 1000);  // fully usable
   EXPECT_EQ(alloc.Alloc(0, 8), small);
+}
+
+TEST(VersionAllocatorTest, VersionsOnWholeLines) {
+  EXPECT_EQ(VersionBytes(8), kCacheLineSize);
+  EXPECT_EQ(VersionBytes(40), kCacheLineSize);
+  EXPECT_EQ(VersionBytes(41), 2 * kCacheLineSize);
+  EXPECT_EQ(VersionBytes(1000), 1024u);
+  VersionAllocator alloc;
+  std::set<uintptr_t> lines;
+  for (int i = 0; i < 100; ++i) {
+    for (auto [table, size] : {std::pair<TableId, uint32_t>{0, 8},
+                               std::pair<TableId, uint32_t>{1, 1000}}) {
+      const auto addr = reinterpret_cast<uintptr_t>(alloc.Alloc(table, size));
+      EXPECT_EQ(addr % kCacheLineSize, 0u) << "record size " << size;
+      // No other version starts on any line this one covers.
+      for (uintptr_t a = addr; a < addr + VersionBytes(size);
+           a += kCacheLineSize) {
+        EXPECT_TRUE(lines.insert(a).second) << "record size " << size;
+      }
+    }
+  }
 }
 
 TEST(VersionTest, PayloadContiguous) {

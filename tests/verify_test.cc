@@ -6,6 +6,7 @@
 // paper's Figure 1 draws.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
 
@@ -212,10 +213,10 @@ TEST(BohmGraphTest, RandomExecutionGraphAcyclicAndTsOrdered) {
   std::unordered_map<RecordId, KeyHistory> histories;
   const BohmTable* table = engine.db().table(0);
   for (Key k = 0; k < kKeys; ++k) {
-    BohmIndexEntry* entry = table->Find(table->PartitionOf(k), k);
-    ASSERT_NE(entry, nullptr);
+    const std::atomic<Version*>* head = table->Head(k);
+    ASSERT_NE(head, nullptr);
     std::vector<uint64_t> writers_newest_first;
-    for (Version* v = entry->head.load(); v != nullptr; v = v->prev) {
+    for (Version* v = head->load(); v != nullptr; v = v->prev) {
       ASSERT_TRUE(v->ready());
       uint64_t value;
       std::memcpy(&value, v->data(), sizeof(value));

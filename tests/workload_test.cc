@@ -25,7 +25,6 @@ TEST(YcsbTest, CatalogShape) {
   ASSERT_NE(c.Find(kYcsbTableId), nullptr);
   EXPECT_EQ(c.Find(kYcsbTableId)->record_size, 1000u);
   EXPECT_EQ(c.Find(kYcsbTableId)->capacity, 1000u);
-  EXPECT_TRUE(c.Find(kYcsbTableId)->dense_keys);
 }
 
 TEST(YcsbTest, LoadVisitsEveryKeyOnce) {
