@@ -9,11 +9,9 @@
 #include "bohm/table.h"
 #include "bohm/version.h"
 #include "common/arena.h"
-#include "common/hash.h"
 #include "common/queue.h"
 #include "common/rand.h"
 #include "common/zipf.h"
-#include "twopl/lock_table.h"
 #include "txn/rwset.h"
 
 namespace bohm {
@@ -53,14 +51,6 @@ void BM_ZipfDraw(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfDraw)->Arg(0)->Arg(50)->Arg(90);
-
-void BM_HashKey(benchmark::State& state) {
-  uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HashKey(++k));
-  }
-}
-BENCHMARK(BM_HashKey);
 
 void BM_ArenaAllocate(benchmark::State& state) {
   Arena arena;
@@ -111,17 +101,6 @@ void BM_BohmIndexLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BohmIndexLookup);
-
-void BM_LockTableGetOrCreate(benchmark::State& state) {
-  LockTable lt(100'000);
-  for (Key k = 0; k < 100'000; ++k) lt.Preallocate(RecordId{0, k});
-  Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lt.GetOrCreate(RecordId{0, rng.Uniform(100'000)}));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LockTableGetOrCreate);
 
 void BM_MpscQueueRoundTrip(benchmark::State& state) {
   MpscQueue<uint64_t> q(1024);

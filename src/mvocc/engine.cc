@@ -330,6 +330,7 @@ Status MVOccEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  BOHM_RETURN_NOT_OK(db_.CheckFootprint(proc.rwset()));
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
 

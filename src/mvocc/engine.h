@@ -29,6 +29,7 @@
 #include "common/arena.h"
 #include "common/macros.h"
 #include "common/stats.h"
+#include "storage/database.h"
 #include "txn/engine_iface.h"
 #include "mvocc/mv_record.h"
 #include "mvocc/mv_txn.h"
@@ -117,7 +118,7 @@ class MVOccEngine final : public ExecutorEngine {
 
   Catalog catalog_;
   MVOccConfig cfg_;
-  MVDatabase db_;
+  Database<MVTable> db_;
   std::vector<uint32_t> record_sizes_;
   std::vector<std::unique_ptr<ThreadCtx>> ctx_;
   StatsRegistry stats_;

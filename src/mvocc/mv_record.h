@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/macros.h"
 #include "storage/schema.h"
@@ -57,7 +56,10 @@ struct MVRecordSlot {
 /// all of the paper's workloads satisfy.
 class MVTable {
  public:
-  explicit MVTable(const TableSpec& spec);
+  explicit MVTable(const TableSpec& spec)
+      : spec_(spec),
+        capacity_(spec.capacity == 0 ? 1 : spec.capacity),
+        slots_(std::make_unique<MVRecordSlot[]>(capacity_)) {}
   BOHM_DISALLOW_COPY_AND_ASSIGN(MVTable);
 
   const TableSpec& spec() const { return spec_; }
@@ -71,21 +73,6 @@ class MVTable {
   TableSpec spec_;
   uint64_t capacity_;
   std::unique_ptr<MVRecordSlot[]> slots_;
-};
-
-class MVDatabase {
- public:
-  explicit MVDatabase(const Catalog& catalog);
-  BOHM_DISALLOW_COPY_AND_ASSIGN(MVDatabase);
-
-  MVTable* table(TableId id) const {
-    return id < tables_.size() ? tables_[id].get() : nullptr;
-  }
-  const Catalog& catalog() const { return catalog_; }
-
- private:
-  Catalog catalog_;
-  std::vector<std::unique_ptr<MVTable>> tables_;
 };
 
 }  // namespace bohm

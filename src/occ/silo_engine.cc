@@ -28,8 +28,8 @@ class SiloOps final : public TxnOps {
 
   const void* Read(TableId table, Key key) override {
     stats_->reads.Inc();
-    SVTable* t = engine_->db_.table(table);
-    SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+    SiloEngine::Table* t = engine_->db_.table(table);
+    SiloEngine::Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
     if (slot == nullptr) return nullptr;
     const uint32_t size = engine_->record_sizes_[table];
     // If we already buffered a write to this record, return our own
@@ -45,8 +45,8 @@ class SiloOps final : public TxnOps {
 
   void* Write(TableId table, Key key) override {
     stats_->writes.Inc();
-    SVTable* t = engine_->db_.table(table);
-    SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+    SiloEngine::Table* t = engine_->db_.table(table);
+    SiloEngine::Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
     assert(slot != nullptr && "Silo requires pre-loaded records");
     if (slot == nullptr) {
       aborted_ = true;
@@ -104,12 +104,12 @@ void SiloEngine::EpochLoop() {
 }
 
 Status SiloEngine::Load(TableId table, Key key, const void* payload) {
-  SVTable* t = db_.table(table);
+  Table* t = db_.table(table);
   if (t == nullptr) return Status::NotFound("no such table");
   return t->Insert(key, payload);
 }
 
-uint64_t SiloEngine::StableRead(SVSlot* slot, void* out,
+uint64_t SiloEngine::StableRead(Slot* slot, void* out,
                                 uint32_t size) const {
   // Seqlock read: acquire the TID word, copy the payload with word-wise
   // relaxed atomic loads (a concurrent CommitAttempt may be installing
@@ -234,6 +234,7 @@ Status SiloEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  BOHM_RETURN_NOT_OK(db_.CheckFootprint(proc.rwset()));
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
 
@@ -263,8 +264,8 @@ Status SiloEngine::Execute(StoredProcedure& proc, uint32_t thread_id) {
 }
 
 Status SiloEngine::ReadLatest(TableId table, Key key, void* out) const {
-  SVTable* t = db_.table(table);
-  SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+  Table* t = db_.table(table);
+  Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
   if (slot == nullptr) return Status::NotFound("no such record");
   StableRead(slot, out, record_sizes_[table]);
   return Status::OK();

@@ -26,6 +26,7 @@
 #include "common/macros.h"
 #include "common/stable_buffer.h"
 #include "common/stats.h"
+#include "storage/database.h"
 #include "storage/sv_table.h"
 #include "txn/engine_iface.h"
 
@@ -65,12 +66,16 @@ class SiloEngine final : public ExecutorEngine {
  private:
   friend class SiloOps;
 
+  /// The slot header is the record's TID word.
+  using Table = SVTable<std::atomic<uint64_t>>;
+  using Slot = Table::Slot;
+
   struct ReadEntry {
-    SVSlot* slot;
+    Slot* slot;
     uint64_t tid;  // TID observed at read time (lock bit clear)
   };
   struct WriteEntry {
-    SVSlot* slot;
+    Slot* slot;
     void* buf;  // into ThreadCtx::write_buffer (stable)
     uint32_t size;
     bool locked;
@@ -89,14 +94,14 @@ class SiloEngine final : public ExecutorEngine {
   };
 
   /// Stable seqlock read of a slot; returns the observed TID.
-  uint64_t StableRead(SVSlot* slot, void* out, uint32_t size) const;
+  uint64_t StableRead(Slot* slot, void* out, uint32_t size) const;
   bool CommitAttempt(ThreadCtx& ctx);
   void Backoff(ThreadCtx& ctx);
   void EpochLoop();
 
   Catalog catalog_;
   SiloConfig cfg_;
-  SVDatabase db_;
+  Database<Table> db_;
   std::vector<uint32_t> record_sizes_;
   std::vector<std::unique_ptr<ThreadCtx>> ctx_;
   StatsRegistry stats_;

@@ -17,11 +17,9 @@ struct TableSpec {
   std::string name;
   /// Fixed payload size of every record in this table, in bytes.
   uint32_t record_size = 8;
-  /// Keys are 0..capacity-1, as in every paper workload. The
-  /// multi-version engines (Bohm, Hekaton, SI) reach records through the
-  /// paper's "simple fixed-size array index" (Section 4) of `capacity`
-  /// slots and refuse any other key; the single-version engines size
-  /// their hash indexes from it.
+  /// Keys are 0..capacity-1, as in every paper workload. Every engine
+  /// reaches records through the paper's "simple fixed-size array index"
+  /// (Section 4) of `capacity` slots and refuses any other key.
   uint64_t capacity = 0;
 };
 

@@ -5,16 +5,6 @@
 
 namespace bohm {
 
-namespace {
-
-uint64_t TotalCapacity(const Catalog& catalog) {
-  uint64_t n = 0;
-  for (const auto& t : catalog.tables()) n += t.capacity;
-  return n;
-}
-
-}  // namespace
-
 /// TxnOps for 2PL: direct in-place access to single-version storage under
 /// the locks acquired before Run(). The first write to each record saves
 /// an undo image so that a logic abort can roll back.
@@ -26,15 +16,15 @@ class TwoPLOps final : public TxnOps {
 
   const void* Read(TableId table, Key key) override {
     stats_->reads.Inc();
-    SVTable* t = engine_->db_.table(table);
-    SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+    TwoPLEngine::Table* t = engine_->db_.table(table);
+    TwoPLEngine::Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
     return slot == nullptr ? nullptr : slot->payload();
   }
 
   void* Write(TableId table, Key key) override {
     stats_->writes.Inc();
-    SVTable* t = engine_->db_.table(table);
-    SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+    TwoPLEngine::Table* t = engine_->db_.table(table);
+    TwoPLEngine::Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
     assert(slot != nullptr && "2PL requires pre-loaded records");
     if (slot == nullptr) return nullptr;
     const uint32_t size = engine_->record_sizes_[table];
@@ -73,7 +63,6 @@ TwoPLEngine::TwoPLEngine(const Catalog& catalog, TwoPLConfig cfg)
         return cfg;
       }()),
       db_(catalog_),
-      locks_(TotalCapacity(catalog_)),
       stats_(cfg_.threads) {
   record_sizes_.resize(catalog_.MaxTableId(), 0);
   for (const TableSpec& t : catalog_.tables()) {
@@ -85,13 +74,9 @@ TwoPLEngine::TwoPLEngine(const Catalog& catalog, TwoPLConfig cfg)
 }
 
 Status TwoPLEngine::Load(TableId table, Key key, const void* payload) {
-  SVTable* t = db_.table(table);
+  Table* t = db_.table(table);
   if (t == nullptr) return Status::NotFound("no such table");
-  BOHM_RETURN_NOT_OK(t->Insert(key, payload));
-  // "No lock table entry allocations" during transactions: create the
-  // entry now.
-  locks_.Preallocate(RecordId{table, key});
-  return Status::OK();
+  return t->Insert(key, payload);
 }
 
 // The whole point of 2PL is a dynamically-scoped lock set: locks acquired
@@ -105,6 +90,9 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
   if (thread_id >= cfg_.threads) {
     return Status::InvalidArgument("bad thread id");
   }
+  // Every lock sits in a slot of the array, so a key past a table's
+  // capacity has none: refuse the footprint before taking any.
+  BOHM_RETURN_NOT_OK(db_.CheckFootprint(proc.rwset()));
   ThreadCtx& ctx = *ctx_[thread_id];
   ThreadStats& st = stats_.Slice(thread_id);
   ctx.held.clear();
@@ -112,15 +100,18 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
   ctx.undo_buffer.Reset();
 
   // Growing phase: acquire every lock in lexicographic (table, key)
-  // order; an RMW record is acquired exclusively once.
+  // order; an RMW record is acquired exclusively once. A record that was
+  // never loaded needs no lock: nothing inserts after the load, so it
+  // stays absent.
   for (const auto& [rec, mode] : proc.rwset().LockOrder()) {
-    LockEntry* e = locks_.GetOrCreate(rec);
+    Slot* slot = db_.table(rec.table)->Lookup(rec.key);
+    if (slot == nullptr) continue;
     if (mode == AccessMode::kWrite) {
-      e->lock.LockExclusive();
-      ctx.held.push_back({e, true});
+      slot->header.LockExclusive();
+      ctx.held.push_back({slot, true});
     } else {
-      e->lock.LockShared();
-      ctx.held.push_back({e, false});
+      slot->header.LockShared();
+      ctx.held.push_back({slot, false});
     }
   }
 
@@ -142,9 +133,9 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
   // Shrinking phase.
   for (const Acquired& a : ctx.held) {
     if (a.exclusive) {
-      a.entry->lock.UnlockExclusive();
+      a.slot->header.UnlockExclusive();
     } else {
-      a.entry->lock.UnlockShared();
+      a.slot->header.UnlockShared();
     }
   }
 
@@ -157,8 +148,8 @@ Status TwoPLEngine::Execute(StoredProcedure& proc,
 }
 
 Status TwoPLEngine::ReadLatest(TableId table, Key key, void* out) const {
-  SVTable* t = db_.table(table);
-  SVSlot* slot = t == nullptr ? nullptr : t->Lookup(key);
+  Table* t = db_.table(table);
+  Slot* slot = t == nullptr ? nullptr : t->Lookup(key);
   if (slot == nullptr) return Status::NotFound("no such record");
   // plain-copy: quiescent-only test/report helper (see header contract);
   // no transaction is running, so nothing else touches the payload.

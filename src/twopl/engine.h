@@ -2,8 +2,10 @@
 // paper's strongest single-version pessimistic baseline (Section 4).
 // Advance knowledge of read/write sets is exploited twice, exactly as the
 // paper describes: locks are acquired in lexicographic order (no
-// deadlocks, hence no detector), and every lock-table entry needed is
-// allocated before the transaction runs.
+// deadlocks, hence no detector), and no lock state is allocated while a
+// transaction runs. Each record's reader-writer lock is its slot header
+// (SVTable), so latching is per record and every lock exists from the
+// table's construction on.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +14,10 @@
 
 #include "common/macros.h"
 #include "common/stable_buffer.h"
+#include "common/spin.h"
 #include "common/stats.h"
+#include "storage/database.h"
 #include "storage/sv_table.h"
-#include "twopl/lock_table.h"
 #include "txn/engine_iface.h"
 
 namespace bohm {
@@ -29,8 +32,7 @@ class TwoPLEngine final : public ExecutorEngine {
   ~TwoPLEngine() override = default;
   BOHM_DISALLOW_COPY_AND_ASSIGN(TwoPLEngine);
 
-  /// Inserts an initial record and pre-creates its lock entry.
-  /// Single-threaded, before first Execute.
+  /// Inserts an initial record. Single-threaded, before first Execute.
   Status Load(TableId table, Key key, const void* payload) override;
 
   Status Execute(StoredProcedure& proc, uint32_t thread_id) override;
@@ -40,17 +42,21 @@ class TwoPLEngine final : public ExecutorEngine {
 
   Status ReadLatest(TableId table, Key key, void* out) const override;
 
-  LockTable& lock_table() { return locks_; }
-
  private:
   friend class TwoPLOps;
 
+  /// The slot header is the record's lock: a reader-writer spinlock with
+  /// yielding back-off (threads in this implementation busy-wait instead
+  /// of context-switching, like the paper's non-blocking executors).
+  using Table = SVTable<RWSpinLock>;
+  using Slot = Table::Slot;
+
   struct Acquired {
-    LockEntry* entry;
+    Slot* slot;
     bool exclusive;
   };
   struct UndoEntry {
-    SVSlot* slot;
+    Slot* slot;
     void* saved;
     uint32_t size;
   };
@@ -62,8 +68,7 @@ class TwoPLEngine final : public ExecutorEngine {
 
   Catalog catalog_;
   TwoPLConfig cfg_;
-  SVDatabase db_;
-  LockTable locks_;
+  Database<Table> db_;
   std::vector<uint32_t> record_sizes_;
   std::vector<std::unique_ptr<ThreadCtx>> ctx_;
   StatsRegistry stats_;

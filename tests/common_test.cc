@@ -61,19 +61,6 @@ TEST(RngTest, ZeroSeedStillWorks) {
 
 // ---------- Hash ----------
 
-TEST(HashTest, DenseKeysScatter) {
-  // Dense integer keys must not all land in the same low bits.
-  std::set<uint64_t> buckets;
-  for (uint64_t k = 0; k < 256; ++k) buckets.insert(HashKey(k) & 63);
-  EXPECT_GT(buckets.size(), 48u);
-}
-
-TEST(HashTest, Deterministic) { EXPECT_EQ(HashKey(42), HashKey(42)); }
-
-TEST(HashTest, TableDisambiguates) {
-  EXPECT_NE(HashTableKey(0, 5), HashTableKey(1, 5));
-}
-
 TEST(HashTest, NextPow2) {
   EXPECT_EQ(NextPow2(0), 1u);
   EXPECT_EQ(NextPow2(1), 1u);

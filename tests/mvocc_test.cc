@@ -56,17 +56,24 @@ TEST_P(MVOccModeTest, SequentialIncrements) {
 }
 
 TEST_P(MVOccModeTest, ReadMissingKeyIsNull) {
-  auto engine = MakeEngine(GetParam(), 4, 1);
+  // Keys 0..3 are loaded into a 16-key table; 9 stays absent. A key past
+  // the capacity has no slot, so its footprint is refused before Run.
+  MVOccConfig cfg;
+  cfg.mode = GetParam();
+  auto engine = std::make_unique<MVOccEngine>(OneTable(16), cfg);
+  for (Key k = 0; k < 4; ++k) ASSERT_TRUE(engine->Load(0, k, nullptr).ok());
   uint64_t out = 7;
   bool found = true;
-  GetProcedure get(0, 3, &out, &found);  // loaded with zero... use key out of range
+  GetProcedure get(0, 3, &out, &found);
   ASSERT_TRUE(engine->Execute(get, 0).ok());
   EXPECT_TRUE(found);  // key 3 was loaded
   uint64_t out2 = 7;
   bool found2 = true;
-  GetProcedure get2(0, 9999, &out2, &found2);
+  GetProcedure get2(0, 9, &out2, &found2);
   ASSERT_TRUE(engine->Execute(get2, 0).ok());
   EXPECT_FALSE(found2);
+  GetProcedure get3(0, 9999, &out2, &found2);
+  EXPECT_TRUE(engine->Execute(get3, 0).IsInvalidArgument());
 }
 
 TEST_P(MVOccModeTest, LogicAbortRollsBack) {

@@ -82,14 +82,12 @@ TEST(SiloTest, LogicAbortDiscardsBufferedWrites) {
 
 TEST(SiloTest, TidAdvancesOnEveryCommit) {
   auto engine = MakeEngine(4, 1);
-  SVSlot* slot = nullptr;
   uint64_t prev_tid = 0;
   for (int i = 0; i < 20; ++i) {
     IncrementProcedure inc(0, 0);
     ASSERT_TRUE(engine->Execute(inc, 0).ok());
     uint64_t v;
     ASSERT_TRUE(engine->ReadLatest(0, 0, &v).ok());
-    (void)slot;
     // Indirect TID probe: re-execute and confirm monotonic effects.
     EXPECT_EQ(v, static_cast<uint64_t>(i + 1));
     (void)prev_tid;

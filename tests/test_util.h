@@ -1,5 +1,6 @@
 // Shared helpers for engine tests: small catalogs, arithmetic procedures
-// with declared footprints, bounded waits and a synchronous Bohm submit,
+// with declared footprints, bounded waits, a bounded executor-engine
+// Execute and a synchronous Bohm submit,
 // the comparison of an engine with the serial oracle, and a timed
 // rendezvous used to force genuine transaction overlap in the anomaly
 // tests.
@@ -18,6 +19,7 @@
 #include "bohm/engine.h"
 #include "perfbench/oracle.h"
 #include "storage/schema.h"
+#include "txn/engine_iface.h"
 #include "txn/procedure.h"
 
 namespace bohm {
@@ -69,6 +71,32 @@ inline void WaitForIdle(const BohmEngine& engine, int timeout_ms = 60000) {
                 << engine.Watermark();
   std::fflush(stdout);
   std::_Exit(1);
+}
+
+/// ExecutorEngine::Execute with a deadline: the call runs on a helper
+/// thread. If it has not returned by then (an engine that retries the
+/// transaction forever), the running test fails and the process exits,
+/// as in WaitForIdle: the helper thread can never be joined.
+inline Status ExecuteWithDeadline(ExecutorEngine& engine,
+                                  StoredProcedure& proc,
+                                  uint32_t thread_id = 0,
+                                  int timeout_ms = 10000) {
+  std::atomic<bool> done{false};
+  Status result;
+  std::thread runner([&] {
+    result = engine.Execute(proc, thread_id);
+    done.store(true, std::memory_order_release);
+  });
+  if (!WaitUntil([&] { return done.load(std::memory_order_acquire); },
+                 timeout_ms)) {
+    ADD_FAILURE() << engine.name() << ": Execute did not return after "
+                  << timeout_ms << " ms, after " << engine.Stats().retries
+                  << " retries";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
+  return result;
 }
 
 /// Submits `proc` and waits until the engine has executed it.

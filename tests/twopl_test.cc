@@ -8,7 +8,6 @@
 
 #include "common/rand.h"
 #include "test_util.h"
-#include "twopl/lock_table.h"
 
 namespace bohm {
 namespace {
@@ -24,44 +23,6 @@ std::unique_ptr<TwoPLEngine> MakeEngine(uint64_t keys, uint32_t threads,
     EXPECT_TRUE(engine->Load(0, k, &initial).ok());
   }
   return engine;
-}
-
-// ---------- LockTable ----------
-
-TEST(LockTableTest, SameRecordSameEntry) {
-  LockTable lt(100);
-  LockEntry* a = lt.GetOrCreate(RecordId{0, 5});
-  LockEntry* b = lt.GetOrCreate(RecordId{0, 5});
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(lt.size(), 1u);
-}
-
-TEST(LockTableTest, DistinctRecordsDistinctEntries) {
-  LockTable lt(100);
-  EXPECT_NE(lt.GetOrCreate(RecordId{0, 5}), lt.GetOrCreate(RecordId{1, 5}));
-  EXPECT_NE(lt.GetOrCreate(RecordId{0, 5}), lt.GetOrCreate(RecordId{0, 6}));
-  EXPECT_EQ(lt.size(), 3u);
-}
-
-TEST(LockTableTest, ConcurrentGetOrCreateConverges) {
-  LockTable lt(1024);
-  constexpr int kThreads = 4, kKeys = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (Key k = 0; k < kKeys; ++k) {
-        (void)lt.GetOrCreate(RecordId{0, k});
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(lt.size(), static_cast<uint64_t>(kKeys));
-}
-
-TEST(LockTableTest, PreallocateCreatesEntry) {
-  LockTable lt(16);
-  lt.Preallocate(RecordId{2, 9});
-  EXPECT_EQ(lt.size(), 1u);
 }
 
 // ---------- Engine ----------
